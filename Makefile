@@ -1,16 +1,15 @@
 # Developer entry points. `make bench-core` records the BenchmarkSelect
-# matrix (serial/parallel x full/eager-incremental/lazy candidate
-# evaluation) as results/BENCH_core.json; `make bench-lp` records branch-and-bound node
-# throughput (sparse warm-started vs dense cold-start) as
-# results/BENCH_lp.json; `make bench-whatif` records the what-if hot-path
-# microbenchmarks (cached/cold probes, applicability checks, selection
-# clones; flat interned tables vs the string-keyed reference) as
+# pair (the lazy step loop, serial and parallel) as results/BENCH_core.json;
+# `make bench-lp` records branch-and-bound node throughput (sparse
+# warm-started vs dense cold-start) as results/BENCH_lp.json; `make
+# bench-whatif` records the what-if hot-path microbenchmarks (cached/cold
+# probes, applicability checks, selection clones) as
 # results/BENCH_whatif.json and fails if the flat cached probe allocates.
 # All are committed so perf trajectories are tracked across PRs.
 
 GO ?= go
 BENCH_COUNT ?= 3
-BENCH_PATTERN := ^BenchmarkSelect(Seed|Incremental|Parallel|ParallelIncremental|Lazy|ParallelLazy)$$
+BENCH_PATTERN := ^BenchmarkSelect(Lazy|ParallelLazy)$$
 BENCH_LP_PATTERN := ^BenchmarkMIP(Sparse|Dense)$$
 BENCH_FLEET_PATTERN := ^BenchmarkFleet(Sequential|Pooled|PooledShared|NearCloneTwin|NearCloneNearMatch|Unstreamed|Streamed|SpillRebuild|SpillRestore)$$
 BENCH_WHATIF_PATTERN := ^Benchmark(WhatifCachedProbe|WhatifColdProbe|Applicable|SelectionClone)_

@@ -137,13 +137,6 @@ func WithExtendOptions(opts core.Options) Option {
 	return func(ad *Advisor) { ad.extendOpts = opts }
 }
 
-// WithEager disables the Extend strategy's lazy (CELF) step loop in favor
-// of the exhaustive per-step candidate sweep. The recommendation and trace
-// are bit-identical to the lazy default; the knob exists to measure the
-// lazy loop's savings and to produce eager reference journals for
-// runcompare (equal frontiers, different prune ledgers).
-func WithEager() Option { return func(ad *Advisor) { ad.extendOpts.Eager = true } }
-
 // WithExplain turns on decision provenance: every Select additionally
 // returns, on the Recommendation, WHY the strategy chose what it chose
 // (Provenance) and which queries each recommended index helps (Attribution),

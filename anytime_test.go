@@ -34,19 +34,19 @@ func (s *cancelAfterSource) CostWithIndex(q Query, k Index) float64 {
 // bit-identical PREFIX of the unbounded run's step trace — the in-flight step
 // is discarded, never applied from partially evaluated candidates. Both step
 // loops are pinned: the lazy (CELF) default, whose in-flight batches must be
-// discarded without corrupting its persistent bound state, and the eager
-// sweep.
+// discarded without corrupting its persistent bound state, and the
+// from-scratch sweep that a (here zero-cost) Reconfig selects.
 func TestAnytimePrefixBitIdentity(t *testing.T) {
 	w := smallWorkload(t)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	budget := m.Budget(0.5)
 
 	for _, mode := range []struct {
-		name  string
-		eager bool
-	}{{"lazy", false}, {"eager", true}} {
+		name     string
+		reconfig func(Selection) float64
+	}{{"lazy", nil}, {"sweep", func(Selection) float64 { return 0 }}} {
 		full, err := core.Select(w, whatif.New(m), core.Options{
-			Budget: budget, Parallelism: 4, Eager: mode.eager,
+			Budget: budget, Parallelism: 4, Reconfig: mode.reconfig,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func TestAnytimePrefixBitIdentity(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			src := &cancelAfterSource{WhatIfSource: m, cancel: cancel, after: after}
 			part, err := core.Select(w, whatif.New(src), core.Options{
-				Budget: budget, Parallelism: 4, Eager: mode.eager, Context: ctx,
+				Budget: budget, Parallelism: 4, Reconfig: mode.reconfig, Context: ctx,
 			})
 			cancel()
 			if err != nil {

@@ -210,17 +210,14 @@ func BenchmarkEngineIndexBuild(b *testing.B) {
 	}
 }
 
-// --- BenchmarkSelect family: the Algorithm-1 candidate-evaluator matrix ---
+// --- BenchmarkSelect family: the Algorithm-1 step loop, serial and parallel ---
 //
-// Six variants of the same frontier run — serial/parallel crossed with
-// full/eager-incremental/lazy candidate evaluation — over the TPC-C template
+// The same frontier run, serial and on all cores, over the TPC-C template
 // workload (whose single trace answers the paper's 16-budget sweep via
 // SelectionAt) and a scaled-down generated ERP workload. `make bench-core`
-// records the matrix as results/BENCH_core.json so the perf trajectory is
-// tracked across PRs. All variants produce identical step traces (asserted
-// by TestParallelTraceMatchesSerial and TestDifferentialLazyVsEager); only
-// the wall clock and the evaluated_per_step metric differ — the lazy (CELF)
-// variants bound-prune candidates the eager sweeps re-evaluate.
+// records them as results/BENCH_core.json so the perf trajectory is tracked
+// across PRs. Both produce the oracle's step trace (asserted by
+// TestDifferentialLazyVsOracle); only the wall clock differs.
 
 type selectBenchCase struct {
 	name string
@@ -264,38 +261,12 @@ func runSelectBench(b *testing.B, opts core.Options) {
 			}
 			b.StopTimer()
 			if res != nil && len(res.Steps) > 0 {
-				// Evaluations per construction step: the tentpole's headline
-				// number (lazy must be >= 5x below eager on ERP), recorded in
-				// BENCH_core.json for every variant.
+				// Evaluations per construction step: how much of each step's
+				// candidate universe the lazy loop still had to evaluate.
 				b.ReportMetric(float64(res.Evaluated)/float64(len(res.Steps)), "evaluated_per_step")
 			}
 		})
 	}
-}
-
-// BenchmarkSelectSeed reproduces the pre-optimization evaluator: one worker,
-// every candidate re-evaluated at every construction step.
-func BenchmarkSelectSeed(b *testing.B) {
-	runSelectBench(b, core.Options{Parallelism: 1, DisableIncremental: true})
-}
-
-// BenchmarkSelectIncremental isolates the eager incremental invalidation
-// layer (serial evaluation, cached gains reused across steps) — the "before"
-// configuration the lazy loop is measured against.
-func BenchmarkSelectIncremental(b *testing.B) {
-	runSelectBench(b, core.Options{Parallelism: 1, Eager: true})
-}
-
-// BenchmarkSelectParallel isolates the worker pool (all cores, gains
-// recomputed every step).
-func BenchmarkSelectParallel(b *testing.B) {
-	runSelectBench(b, core.Options{DisableIncremental: true})
-}
-
-// BenchmarkSelectParallelIncremental is the worker pool plus eager
-// incremental invalidation — the pre-lazy production configuration.
-func BenchmarkSelectParallelIncremental(b *testing.B) {
-	runSelectBench(b, core.Options{Eager: true})
 }
 
 // BenchmarkSelectLazy is the lazy (CELF) step loop, serial.

@@ -12,9 +12,9 @@
 // (memory, cost) frontiers are equal, the final objective and memory deltas,
 // per-index attribution movements (when both runs were recorded with
 // -explain), and the prune-ledger difference. Ledger differences alone do
-// NOT count as divergence — a lazy and an eager run of the same workload
-// legitimately produce equal frontiers with different ledgers, and that is
-// the healthy outcome this tool is meant to certify.
+// NOT count as divergence — the lazy loop and the from-scratch sweep on the
+// same workload legitimately produce equal frontiers with different ledgers,
+// and that is the healthy outcome this tool is meant to certify.
 //
 // Exit status: 0 when the runs are identical (same decisions, objective,
 // and attribution), 1 when they diverge, 2 on usage or read errors.

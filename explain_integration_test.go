@@ -95,19 +95,24 @@ func TestExplainEndToEnd(t *testing.T) {
 	}
 }
 
-// The acceptance bar for runcompare: lazy and eager runs of the same
-// workload reach the same frontier through different amounts of work, so
+// The acceptance bar for runcompare: the lazy loop and the eager
+// from-scratch sweep (selected by a zero-cost Reconfig, which changes no
+// gain) reach the same frontier through different amounts of work, so
 // their diff must report zero divergence with differing prune ledgers.
 func TestExplainLazyVsEagerDiff(t *testing.T) {
 	w, err := TPCCWorkload(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := func(eager bool) (*Recommendation, *ExplainedRun) {
+	record := func(sweep bool) (*Recommendation, *ExplainedRun) {
+		var opts core.Options
+		if sweep {
+			opts.Reconfig = func(Selection) float64 { return 0 }
+		}
 		var journal bytes.Buffer
 		tel := &Telemetry{Tracer: NewTracer(4096, &journal)}
 		adv := NewAdvisor(w, WithBudgetShare(0.3), WithExplain(), WithTelemetry(tel),
-			WithExtendOptions(core.Options{Eager: eager}))
+			WithExtendOptions(opts))
 		rec, err := adv.Select(StrategyExtend)
 		if err != nil {
 			t.Fatal(err)
@@ -119,17 +124,17 @@ func TestExplainLazyVsEagerDiff(t *testing.T) {
 		return rec, run
 	}
 	lazyRec, lazyRun := record(false)
-	eagerRec, eagerRun := record(true)
+	sweepRec, sweepRun := record(true)
 
-	d := explain.DiffRuns(lazyRun, eagerRun)
+	d := explain.DiffRuns(lazyRun, sweepRun)
 	if d.FirstDivergence != nil {
-		t.Fatalf("lazy and eager runs diverged: %+v", d.FirstDivergence)
+		t.Fatalf("lazy and sweep runs diverged: %+v", d.FirstDivergence)
 	}
 	if !d.FrontierEqual {
-		t.Fatal("lazy and eager frontiers differ")
+		t.Fatal("lazy and sweep frontiers differ")
 	}
-	if eagerRec.Pruned != 0 {
-		t.Fatalf("eager run pruned %d candidates", eagerRec.Pruned)
+	if sweepRec.Pruned != 0 {
+		t.Fatalf("from-scratch sweep pruned %d candidates", sweepRec.Pruned)
 	}
 	if lazyRec.Pruned > 0 && !d.LedgerDiffers {
 		t.Errorf("lazy run pruned %d candidates but the diff saw equal ledgers", lazyRec.Pruned)

@@ -246,7 +246,7 @@ type ConstructionStep = core.Step
 
 // ExtendOptions re-exports Algorithm 1's knobs (budget, max steps, the
 // Remark 1 extensions, and the candidate-evaluator performance knobs
-// Parallelism/DisableIncremental); pass via WithExtendOptions. The advisor's
+// Parallelism/Approximate); pass via WithExtendOptions. The advisor's
 // budget options override the Budget field, and WithParallelism overrides
 // the Parallelism field.
 type ExtendOptions = core.Options

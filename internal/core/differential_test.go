@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -10,12 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The interned selector over flat what-if tables must be bit-identical to
-// the retained string-keyed reference stack (Options.Reference over
-// whatif.NewReference): same step trace, same frontier, same selection, and
-// the same what-if Calls/CacheHits accounting, at every parallelism level.
-// This is the contract that makes the fast path trustworthy — any divergence
-// in tie-breaking, cache semantics, or derived-cost reuse shows up here.
+// The production step loops are checked against the independent oracle of
+// oracle_test.go: the lazy loop at every parallelism level, and the
+// from-scratch sweep that Options.Reconfig selects.
 
 func diffWorkloads(t *testing.T) map[string]*workload.Workload {
 	t.Helper()
@@ -29,6 +27,119 @@ func diffWorkloads(t *testing.T) map[string]*workload.Workload {
 	}
 }
 
+// writeWorkload is a seeded-random three-table workload in which writeShare
+// of the templates are inserts, updates or deletes.
+func writeWorkload(seed int64, writeShare float64) *workload.Workload {
+	cfg := workload.DefaultGenConfig()
+	cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 3, 14, 40
+	cfg.RowsBase, cfg.Seed, cfg.WriteShare = 100_000, seed, writeShare
+	return workload.MustGenerate(cfg)
+}
+
+// perByteReconfig charges R(I) = rate·P(I): building an index that fills
+// the whole budget costs share of the workload's unindexed cost. Sizes are
+// summed as integers, so R is independent of map iteration order.
+func perByteReconfig(w *workload.Workload, m *costmodel.Model, share float64, budget int64) func(workload.Selection) float64 {
+	rate := share * m.TotalCost(workload.NewSelection()) / float64(budget)
+	return func(sel workload.Selection) float64 {
+		var p int64
+		for _, k := range sel {
+			p += m.IndexSize(k)
+		}
+		return rate * float64(p)
+	}
+}
+
+// TestDifferentialLazyVsOracle is the exactness contract of the production
+// step loops. On TPC-C, the scaled ERP and seeded-random write workloads,
+// for each Remark-1 feature set, the lazy loop at P = 1, 4 and NumCPU must
+// reproduce the oracle's trace: same steps, ratios bit for bit, same
+// candidate universe, same final selection and stop reason. A nonzero
+// per-byte Reconfig case runs the from-scratch sweep against the oracle on
+// every workload but the ERP, where a sweep that re-evaluates every
+// candidate with whole-selection Reconfig calls costs seconds per run.
+func TestDifferentialLazyVsOracle(t *testing.T) {
+	workloads := diffWorkloads(t)
+	for _, seed := range []int64{5, 19, 47} {
+		workloads[fmt.Sprintf("writes%d", seed)] = writeWorkload(seed, 0.3)
+	}
+	features := []Options{
+		{},
+		{TrackSecondBest: true, DropUnused: true},
+		{PairSteps: true, PairLimit: 40, TrackSecondBest: true},
+		{TopNSingle: 8},
+	}
+	parallelisms := []int{1, 4, runtime.NumCPU()}
+	for name, w := range workloads {
+		m := costmodel.New(w, costmodel.SingleIndex)
+		budget := m.Budget(0.5)
+		for fi, feat := range features {
+			opts := feat
+			opts.Budget = budget
+			want := runOracle(w, m, opts)
+			if len(want.Steps) == 0 {
+				t.Fatalf("%s/feature%d: oracle took no step", name, fi)
+			}
+			for _, p := range parallelisms {
+				opts.Parallelism = p
+				got, err := Select(w, whatif.New(m), opts)
+				if err != nil {
+					t.Fatalf("%s/feature%d/P%d: %v", name, fi, p, err)
+				}
+				matchOracle(t, fmt.Sprintf("%s/feature%d/P%d", name, fi, p), want, got)
+			}
+		}
+
+		if name == "ERP" {
+			continue
+		}
+		opts := Options{
+			Budget: budget, TrackSecondBest: true, DropUnused: true,
+			Reconfig: perByteReconfig(w, m, 0.01, budget),
+		}
+		want := runOracle(w, m, opts)
+		got, err := Select(w, whatif.New(m), opts)
+		if err != nil {
+			t.Fatalf("%s/reconfig: %v", name, err)
+		}
+		matchOracle(t, name+"/reconfig", want, got)
+		if got.Pruned != 0 || got.CacheServed != 0 {
+			t.Errorf("%s/reconfig: from-scratch sweep reports %d pruned, %d cache-served",
+				name, got.Pruned, got.CacheServed)
+		}
+	}
+}
+
+// countingSource counts the what-if entry points the optimizer reports as
+// calls (base, single-index and whole-selection cost); maintenance and size
+// lookups pass through uncounted. Safe for the parallel loop's workers.
+type countingSource struct {
+	whatif.Source
+	calls atomic.Int64
+}
+
+func (c *countingSource) BaseCost(q workload.Query) float64 {
+	c.calls.Add(1)
+	return c.Source.BaseCost(q)
+}
+
+func (c *countingSource) CostWithIndex(q workload.Query, k workload.Index) float64 {
+	c.calls.Add(1)
+	return c.Source.CostWithIndex(q, k)
+}
+
+func (c *countingSource) QueryCost(q workload.Query, sel workload.Selection) float64 {
+	c.calls.Add(1)
+	return c.Source.QueryCost(q, sel)
+}
+
+// TestDifferentialFlatVsReference checks the flat what-if cache against the
+// raw cost source it fronts. The reference is the oracle, which reads the
+// Source directly with no cache; the lazy loop reads through whatif.New over
+// a counting Source. For each feature set and P = 1, 4 and NumCPU the trace
+// must match the reference, the frontier must be bit-identical to the serial
+// run's, the optimizer's Calls must equal the source invocations it made,
+// and Calls and CacheHits must not depend on the worker count.
 func TestDifferentialFlatVsReference(t *testing.T) {
 	parallelisms := []int{1, 4, runtime.NumCPU()}
 	features := []Options{
@@ -41,58 +152,57 @@ func TestDifferentialFlatVsReference(t *testing.T) {
 		m := costmodel.New(w, costmodel.SingleIndex)
 		budget := m.Budget(0.5)
 		for fi, feat := range features {
+			opts := feat
+			opts.Budget = budget
+			want := runOracle(w, m, opts)
+			var serial *Result
+			var serialStats whatif.Stats
 			for _, p := range parallelisms {
 				label := fmt.Sprintf("%s/feature%d/P%d", name, fi, p)
-
-				refOpts := feat
-				refOpts.Budget, refOpts.Parallelism, refOpts.Reference = budget, p, true
-				refOpt := whatif.NewReference(m)
-				want, err := Select(w, refOpt, refOpts)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", label, err)
-				}
-
-				opts := feat
-				opts.Budget, opts.Parallelism = budget, p
-				flatOpt := whatif.New(m)
+				opts.Parallelism = p
+				src := &countingSource{Source: m}
+				flatOpt := whatif.New(src)
 				got, err := Select(w, flatOpt, opts)
 				if err != nil {
-					t.Fatalf("%s: flat: %v", label, err)
+					t.Fatalf("%s: %v", label, err)
 				}
+				matchOracle(t, label, want, got)
 
-				traceEqual(t, label, want, got)
-
-				wf, gf := want.Frontier(), got.Frontier()
+				st := flatOpt.Stats()
+				if st.Calls != src.calls.Load() {
+					t.Errorf("%s: optimizer reports %d what-if calls, source served %d",
+						label, st.Calls, src.calls.Load())
+				}
+				if serial == nil {
+					serial, serialStats = got, st
+					continue
+				}
+				wf, gf := serial.Frontier(), got.Frontier()
 				if len(wf) != len(gf) {
-					t.Fatalf("%s: frontier lengths %d vs %d", label, len(wf), len(gf))
+					t.Fatalf("%s: frontier lengths %d (P1) vs %d", label, len(wf), len(gf))
 				}
 				for i := range wf {
 					if wf[i] != gf[i] {
-						t.Errorf("%s: frontier[%d] %+v vs %+v", label, i, wf[i], gf[i])
+						t.Errorf("%s: frontier[%d] %+v (P1) vs %+v", label, i, wf[i], gf[i])
 					}
 				}
-
-				ws, gs := refOpt.Stats(), flatOpt.Stats()
-				if ws.Calls != gs.Calls {
-					t.Errorf("%s: what-if calls %d (reference) vs %d (flat)", label, ws.Calls, gs.Calls)
-				}
-				if ws.CacheHits != gs.CacheHits {
-					t.Errorf("%s: cache hits %d (reference) vs %d (flat)", label, ws.CacheHits, gs.CacheHits)
+				if st.Calls != serialStats.Calls || st.CacheHits != serialStats.CacheHits {
+					t.Errorf("%s: what-if calls/hits %d/%d vs %d/%d at P1",
+						label, st.Calls, st.CacheHits, serialStats.Calls, serialStats.CacheHits)
 				}
 			}
 		}
 	}
 }
 
-// TestDifferentialWriteWorkload covers the maintenance-cost terms: generated
-// workloads with a write share exercise maintFor, dropUnused's maintenance
-// threshold, and the maintCache pair tables on both backends.
+// TestDifferentialWriteWorkload covers the maintenance terms on write-heavy
+// workloads, where Remark 1.2 also evicts indexes whose read benefit no
+// longer pays for their maintenance: the lazy loop must match the oracle,
+// and across the seeds at least one drop step must actually occur.
 func TestDifferentialWriteWorkload(t *testing.T) {
+	drops := 0
 	for _, seed := range []int64{9, 31} {
-		cfg := workload.DefaultGenConfig()
-		cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 3, 14, 40
-		cfg.RowsBase, cfg.Seed, cfg.WriteShare = 100_000, seed, 0.3
-		w := workload.MustGenerate(cfg)
+		w := writeWorkload(seed, 0.5)
 		m := costmodel.New(w, costmodel.SingleIndex)
 		opts := Options{
 			Budget:          m.Budget(0.5),
@@ -100,41 +210,46 @@ func TestDifferentialWriteWorkload(t *testing.T) {
 			DropUnused:      true,
 			Parallelism:     4,
 		}
-		refOpts := opts
-		refOpts.Reference = true
-		want, err := Select(w, whatif.NewReference(m), refOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := Select(w, whatif.New(m), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traceEqual(t, fmt.Sprintf("writes/seed%d", seed), want, got)
+		matchOracle(t, fmt.Sprintf("writes/seed%d", seed), runOracle(w, m, opts), got)
+		for _, st := range got.Steps {
+			if st.Kind == StepDrop {
+				drops++
+			}
+		}
+	}
+	if drops == 0 {
+		t.Error("no drop step on write-heavy workloads; Remark 1.2's maintenance threshold is untested")
 	}
 }
 
-// TestDifferentialExactEvaluation pins the ExactEvaluation path (no derived
-// extension costs) to the reference as well: call counts change, equality of
-// the trace must not.
+// TestDifferentialExactEvaluation pins the ExactEvaluation path (a what-if
+// call for every extension instead of derived costs) to the oracle as well:
+// the call count grows, the trace must not change.
 func TestDifferentialExactEvaluation(t *testing.T) {
 	w := workload.MustTPCC(10)
 	m := costmodel.New(w, costmodel.SingleIndex)
-	opts := Options{Budget: m.Budget(0.5), ExactEvaluation: true, Parallelism: 4}
-	refOpts := opts
-	refOpts.Reference = true
-	refOpt := whatif.NewReference(m)
-	want, err := Select(w, refOpt, refOpts)
+	opts := Options{Budget: m.Budget(0.5), Parallelism: 4}
+	want := runOracle(w, m, opts)
+
+	derivedOpt := whatif.New(m)
+	derived, err := Select(w, derivedOpt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatOpt := whatif.New(m)
-	got, err := Select(w, flatOpt, opts)
+	matchOracle(t, "derived", want, derived)
+
+	opts.ExactEvaluation = true
+	exactOpt := whatif.New(m)
+	exact, err := Select(w, exactOpt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traceEqual(t, "exact", want, got)
-	if ws, gs := refOpt.Stats(), flatOpt.Stats(); ws.Calls != gs.Calls {
-		t.Errorf("exact: what-if calls %d vs %d", ws.Calls, gs.Calls)
+	matchOracle(t, "exact", want, exact)
+	if e, d := exactOpt.Stats().Calls, derivedOpt.Stats().Calls; e < d {
+		t.Errorf("exact evaluation made %d what-if calls, fewer than derived evaluation's %d", e, d)
 	}
 }

@@ -7,29 +7,38 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/explain"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // Provenance must be a pure observer: turning Options.Explain on may not
 // change a single decision, tie-break, or what-if call. The trace, frontier,
 // and optimizer accounting must be bit-identical with it on and off, on both
-// the lazy and eager step loops.
+// the lazy loop and the from-scratch sweep (selected by a zero-cost
+// Reconfig, which leaves every gain unchanged; TPC-C only, as a sweep of the
+// ERP costs seconds).
 func TestExplainTracePreserving(t *testing.T) {
 	for name, w := range diffWorkloads(t) {
 		m := costmodel.New(w, costmodel.SingleIndex)
 		budget := m.Budget(0.5)
-		for _, eager := range []bool{false, true} {
+		for _, sweep := range []bool{false, true} {
 			label := name + "/lazy"
-			if eager {
-				label = name + "/eager"
+			opts := Options{Budget: budget}
+			if sweep {
+				if name == "ERP" {
+					continue
+				}
+				label = name + "/sweep"
+				opts.Reconfig = func(workload.Selection) float64 { return 0 }
 			}
 
 			plainOpt := whatif.New(m)
-			plain, err := Select(w, plainOpt, Options{Budget: budget, Eager: eager})
+			plain, err := Select(w, plainOpt, opts)
 			if err != nil {
 				t.Fatalf("%s: plain: %v", label, err)
 			}
+			opts.Explain = true
 			explOpt := whatif.New(m)
-			expl, err := Select(w, explOpt, Options{Budget: budget, Eager: eager, Explain: true})
+			expl, err := Select(w, explOpt, opts)
 			if err != nil {
 				t.Fatalf("%s: explain: %v", label, err)
 			}
@@ -44,7 +53,7 @@ func TestExplainTracePreserving(t *testing.T) {
 			if plain.Provenance != nil {
 				t.Errorf("%s: provenance recorded without Explain", label)
 			}
-			checkProvenance(t, label, expl, eager)
+			checkProvenance(t, label, expl, sweep)
 		}
 	}
 }
@@ -53,7 +62,7 @@ func TestExplainTracePreserving(t *testing.T) {
 // one record per step, exact gain decomposition, by-query deltas summing to
 // the read gain, and a prune ledger whose skip totals reproduce the step's
 // Pruned count (lazy loop only).
-func checkProvenance(t *testing.T, label string, res *Result, eager bool) {
+func checkProvenance(t *testing.T, label string, res *Result, sweep bool) {
 	t.Helper()
 	if len(res.Provenance) != len(res.Steps) {
 		t.Fatalf("%s: %d provenance records for %d steps", label, len(res.Provenance), len(res.Steps))
@@ -93,9 +102,9 @@ func checkProvenance(t *testing.T, label string, res *Result, eager bool) {
 			}
 		}
 
-		if eager {
+		if sweep {
 			if len(p.PruneLedger) != 0 || p.LedgerSkipped != 0 {
-				t.Errorf("%s: step %d carries a prune ledger on the eager path", label, i)
+				t.Errorf("%s: step %d carries a prune ledger on the from-scratch sweep", label, i)
 			}
 			continue
 		}

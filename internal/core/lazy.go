@@ -1,5 +1,5 @@
-// Lazy-greedy (CELF) step loop. Instead of re-evaluating every candidate in
-// every stale bucket each construction step (collect, the eager path), the
+// Lazy-greedy (CELF) step loop. Instead of re-evaluating every candidate
+// each construction step (collect, the from-scratch sweep), the
 // selector keeps one persistent entry per candidate carrying the outcome of
 // its last evaluation plus enough bookkeeping to derive a SOUND upper bound
 // on its current benefit/memory ratio, and each step pops candidates from a
@@ -42,7 +42,7 @@
 // just on paper. That is what makes exact mode EXACT: the loop only ever
 // skips candidates whose true ratio provably cannot beat (or tie) the
 // winner, so the decided step, runner-up, and stop reason are bit-identical
-// to the eager sweep's.
+// to a from-scratch sweep's.
 //
 // On top of the entry heap sits one sentinel per lead-attribute bucket:
 // buckets keep an aggregate bound (max entry bound at a recorded rise level,
@@ -55,11 +55,11 @@
 // the new index appear, extensions of the replaced one die, replaced singles
 // resurface. Only that bucket is re-enumerated ("dirty"); every other
 // bucket's entry list is reused as-is. Exactness of surviving entries is
-// tracked by two per-bucket epochs, split by step kind exactly like the
-// eager path's invalidateStale: extEpoch (served[] changed in a co-occurring
-// query) governs extension entries, newEpoch (a co-occurring query's cost
-// net-changed) governs new-index entries. An entry whose epoch still matches
-// is served from cache without re-evaluation.
+// tracked by two per-bucket epochs, split by step kind: extEpoch (served[]
+// changed in a co-occurring query) governs extension entries, which read
+// served[]; newEpoch (a co-occurring query's cost net-changed) governs
+// new-index entries, which are pure functions of cost[]. An entry whose epoch
+// still matches is served from cache without re-evaluation.
 //
 // Determinism: the heap is built and consumed serially with a push-sequence
 // tie-break, and stale candidates are re-evaluated in constant-size batches
@@ -67,9 +67,10 @@
 // so the set of evaluated candidates — and with it the whole trace and the
 // Step accounting — is identical at every Parallelism. The stop rule is
 // strict (top bound < threshold): candidates whose bound ties the winner are
-// still evaluated so tie-breaks match the eager sweep. Options.Approximate
-// relaxes only this cut to threshold*(1+eps), trading exactness of the step
-// choice (within a (1+eps) ratio factor) for fewer evaluations.
+// still evaluated so tie-breaks match a from-scratch sweep.
+// Options.Approximate relaxes only this cut to threshold*(1+eps), trading
+// exactness of the step choice (within a (1+eps) ratio factor) for fewer
+// evaluations.
 package core
 
 import (
@@ -520,7 +521,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	if !ok {
 		// Nothing viable in budget. No threshold ever existed, so every
 		// bucket was opened and every entry consulted or evaluated — the
-		// budget-exclusion verdict is exactly the eager sweep's.
+		// budget-exclusion verdict is exactly a from-scratch sweep's.
 		if budgetExcluded {
 			s.stopReason = fault.StopBudget
 		} else {

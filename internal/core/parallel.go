@@ -1,11 +1,11 @@
 // Worker pool and concurrency-safe caches for the parallel candidate
 // evaluator. The construction loop alternates two phases: a parallel phase
 // in which worker goroutines evaluate candidate steps against frozen
-// selector state (collect), and a serial phase that mutates that state
-// (apply/dropUnused). The shared caches below are only written during the
-// parallel phase, and the per-query state (cost, served, size) is only
-// written during the serial phase — no lock covers it because no writer and
-// reader ever overlap.
+// selector state (collectLazy or collect), and a serial phase that mutates
+// that state (apply/dropUnused). The shared caches below are only written
+// during the parallel phase, and the per-query state (cost, served, size) is
+// only written during the serial phase — no lock covers it because no writer
+// and reader ever overlap.
 package core
 
 import (
@@ -159,51 +159,4 @@ func (t *maintTable) get(id workload.IndexID) (float64, bool) {
 
 func (t *maintTable) put(id workload.IndexID, v float64) {
 	t.pages[id/tablePage][id%tablePage].Store(math.Float64bits(v))
-}
-
-// cacheShards is the shard count of the string-keyed caches. 32 keeps lock
-// contention negligible at any realistic GOMAXPROCS while staying cheap for
-// the serial path (one uncontended RWMutex acquisition per lookup).
-const cacheShards = 32
-
-// shardedCache is a string-keyed map sharded by FNV-1a hash. Values must be
-// deterministic functions of their key: concurrent fills of the same key may
-// both compute, and either result must be interchangeable.
-type shardedCache[V any] struct {
-	shards [cacheShards]struct {
-		mu sync.RWMutex
-		m  map[string]V
-	}
-}
-
-func newShardedCache[V any]() *shardedCache[V] {
-	c := &shardedCache[V]{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]V)
-	}
-	return c
-}
-
-func shardOf(key string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h % cacheShards
-}
-
-func (c *shardedCache[V]) get(key string) (V, bool) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (c *shardedCache[V]) put(key string, v V) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
 }

@@ -55,10 +55,11 @@ func traceEqual(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestParallelTraceMatchesSerial is the determinism property the worker pool
-// guarantees: for every workload seed and feature combination, running
-// Select with Parallelism 1 and Parallelism N yields identical step traces,
-// with and without the incremental gain cache.
+// TestParallelTraceMatchesSerial: the lazy loop's worker pool must not
+// change the trace. The baseline is the serial from-scratch sweep (a
+// zero-cost Reconfig: no gain cache, no bounds); the lazy loop at P = 1, 4
+// and 7 (a worker count not dividing the task count) must reproduce it bit
+// for bit under every feature set, ExactEvaluation included.
 func TestParallelTraceMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{3, 11, 29, 47} {
 		w := gen(t, 3, 14, 40, 100_000, seed)
@@ -72,31 +73,21 @@ func TestParallelTraceMatchesSerial(t *testing.T) {
 			{ExactEvaluation: true},
 		}
 		for fi, feat := range features {
-			// The reference is the seed behavior: serial, no gain cache.
 			ref := feat
-			ref.Budget, ref.Parallelism, ref.DisableIncremental = budget, 1, true
+			ref.Budget, ref.Parallelism = budget, 1
+			ref.Reconfig = func(workload.Selection) float64 { return 0 }
 			baseline, err := Select(w, whatif.New(m), ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			variants := []Options{
-				{Parallelism: 1}, // serial + lazy (the default path)
-				{Parallelism: 4}, // parallel + lazy
-				{Parallelism: 4, DisableIncremental: true}, // parallel only
-				{Parallelism: 7},              // worker count not dividing task count
-				{Parallelism: 1, Eager: true}, // serial + eager incremental
-				{Parallelism: 4, Eager: true}, // parallel + eager incremental
-			}
-			for vi, v := range variants {
+			for _, p := range []int{1, 4, 7} {
 				opts := feat
-				opts.Budget = budget
-				opts.Parallelism, opts.DisableIncremental = v.Parallelism, v.DisableIncremental
-				opts.Eager = v.Eager
+				opts.Budget, opts.Parallelism = budget, p
 				got, err := Select(w, whatif.New(m), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				traceEqual(t, fmt.Sprintf("seed %d feature %d variant %d", seed, fi, vi), baseline, got)
+				traceEqual(t, fmt.Sprintf("seed %d feature %d P%d", seed, fi, p), baseline, got)
 			}
 		}
 	}
@@ -104,9 +95,10 @@ func TestParallelTraceMatchesSerial(t *testing.T) {
 
 // TestIncrementalMatchesFullRecomputation runs with TrackSecondBest so that
 // the top-2 candidates of every construction step are exposed in the trace:
-// if any cached gain deviated from a from-scratch recomputation, the chosen
-// step or its runner-up (or their ratios) would differ somewhere along the
-// trace. Write-heavy workloads exercise the maintenance terms too.
+// if any cached or bounded gain of the lazy loop deviated from a from-scratch
+// recomputation, the chosen step or its runner-up (or their ratios) would
+// differ from the oracle somewhere along the trace. Write-heavy workloads
+// exercise the maintenance terms too.
 func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 	for _, writeShare := range []float64{0, 0.3} {
 		for _, seed := range []int64{5, 19} {
@@ -121,17 +113,11 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 				DropUnused:      true,
 				Parallelism:     1,
 			}
-			full := opts
-			full.DisableIncremental = true
-			a, err := Select(w, whatif.New(m), full)
-			if err != nil {
-				t.Fatal(err)
-			}
 			b, err := Select(w, whatif.New(m), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			traceEqual(t, fmt.Sprintf("writeShare %v seed %d", writeShare, seed), a, b)
+			matchOracle(t, fmt.Sprintf("writeShare %v seed %d", writeShare, seed), runOracle(w, m, opts), b)
 			// The incremental run's bookkeeping must still agree with a
 			// from-scratch model evaluation of its final selection.
 			if got, want := b.Cost, m.TotalCost(b.Selection); math.Abs(got-want) > 1e-6*want {
@@ -141,58 +127,33 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 	}
 }
 
-// TestIncrementalReducesReevaluations: the point of the invalidation layer
-// is to spend construction steps on O(affected candidates). Counting actual
-// candidate evaluations via the gain cache is internal; the observable proxy
-// is that the incremental run performs no additional what-if calls compared
-// to the full recomputation (caches make calls identical) while the step
-// traces match — covered above — so here we assert the invalidation itself:
-// after a full run, cached gains for untouched leading attributes survive.
+// TestIncrementalReducesReevaluations: the point of the lazy loop's cached
+// evaluations is to spend construction steps on O(affected candidates). The
+// first step evaluates every candidate; the second must reuse some of them
+// (cache-served or pruned) while still re-evaluating the ones the first step
+// made stale, and the whole run must serve evaluations from the cache.
 func TestIncrementalReducesReevaluations(t *testing.T) {
 	w := gen(t, 3, 14, 40, 100_000, 23)
 	m, _ := setup(w)
-	// Eager selects the incremental gain-cache path this test inspects; the
-	// lazy default keeps its own per-bucket entry store instead (lazy_test.go
-	// covers its cache-retention behavior).
-	s := newSelector(w, whatif.New(m), Options{Budget: m.Budget(0.5), Parallelism: 1, Eager: true})
-	s.initTopNSingle()
-	// First step: everything evaluated, cache populated.
-	best, second, haveSecond, ok, err := s.collect()
+	res, err := Select(w, whatif.New(m), Options{Budget: m.Budget(0.5), Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("no candidate found")
+	if len(res.Steps) < 2 {
+		t.Fatalf("run took %d steps, want at least 2", len(res.Steps))
 	}
-	cached := 0
-	for _, bucket := range s.gains {
-		cached += len(bucket)
+	if first := res.Steps[0]; first.Evaluated != first.Candidates {
+		t.Errorf("first step evaluated %d of %d candidates, want all", first.Evaluated, first.Candidates)
 	}
-	if cached == 0 {
-		t.Fatal("gain cache empty after first collect")
+	second := res.Steps[1]
+	if second.Evaluated >= second.Candidates {
+		t.Errorf("second step re-evaluated all %d candidates; nothing was reused", second.Candidates)
 	}
-	s.apply(best, second, haveSecond)
-	surviving := 0
-	for _, bucket := range s.gains {
-		surviving += len(bucket)
+	if second.Evaluated == 0 {
+		t.Error("second step re-evaluated nothing; the first step's mutation invalidated no entry")
 	}
-	if surviving == 0 {
-		t.Error("apply() invalidated every cached gain; invalidation is not selective")
-	}
-	if surviving >= cached {
-		t.Error("apply() invalidated nothing; stale gains would be reused")
-	}
-	// Second collect must reuse survivors: the pending (re-evaluated) set is
-	// strictly smaller than the full task list.
-	tasks := s.enumerate()
-	hits := 0
-	for _, task := range tasks {
-		if _, hit := s.cachedGain(task); hit {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Error("second collect has zero gain-cache hits")
+	if res.CacheServed == 0 {
+		t.Error("run served zero evaluations from still-exact cache entries")
 	}
 }
 
@@ -223,8 +184,8 @@ func TestParallelWithWorkerPoolUnderRace(t *testing.T) {
 }
 
 // TestReconfigForcesSerial: the Reconfig callback must see single-threaded
-// calls (its thread-safety is unknown) and incremental gains are disabled
-// because R couples gains to the whole selection.
+// calls (its thread-safety is unknown) and the lazy loop is off because R
+// couples gains to the whole selection.
 func TestReconfigForcesSerial(t *testing.T) {
 	w := gen(t, 2, 10, 20, 50_000, 13)
 	m, _ := setup(w)
@@ -244,8 +205,8 @@ func TestReconfigForcesSerial(t *testing.T) {
 	if s.workers != 1 {
 		t.Errorf("Reconfig run uses %d workers, want 1", s.workers)
 	}
-	if s.gains != nil {
-		t.Error("Reconfig run has incremental gain cache enabled")
+	if s.lazy != nil {
+		t.Error("Reconfig run uses the lazy step loop")
 	}
 	if _, err := s.run(); err != nil {
 		t.Fatal(err)

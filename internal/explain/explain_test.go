@@ -106,8 +106,9 @@ func TestDiffIdenticalRuns(t *testing.T) {
 	}
 }
 
-// Lazy vs eager: same decisions and frontier, different prune ledgers. The
-// diff must flag the ledger difference without declaring divergence.
+// Lazy loop vs from-scratch sweep: same decisions and frontier, different
+// prune ledgers. The diff must flag the ledger difference without declaring
+// divergence.
 func TestDiffLedgerOnlyDifferenceIsNotDivergence(t *testing.T) {
 	lazy := sampleRun(1000, []explain.PrunedBucket{{Lead: 3, Bound: 1.5, Entries: 6, Skipped: 6}}, nil)
 	eager := sampleRun(1000, nil, nil)

@@ -1,9 +1,10 @@
 package inum
 
 import (
+	"context"
 	"math"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/candidates"
 	"repro/internal/cophy"
@@ -161,10 +162,14 @@ func TestSelectionQualityUnchanged(t *testing.T) {
 	cands := candidates.Representatives(w, combos)
 	budget := m.Budget(0.3)
 
-	// A 2-second limit keeps the test fast; both runs stop identically
-	// because INUM changes only WHERE costs come from, not their values.
+	// A fixed work budget keeps the test fast; both runs stop identically
+	// because INUM changes only WHERE costs come from, not their values. A
+	// wall-clock limit would not: the search finds a better incumbent between
+	// about 15M and 28M nodes, so a load change between the two solves makes
+	// them stop at different nodes and return different costs.
 	opts := func() cophy.Options {
-		return cophy.Options{Budget: budget, ForceCombinatorial: true, Gap: 0.05, TimeLimit: 2 * time.Second}
+		return cophy.Options{Budget: budget, ForceCombinatorial: true, Gap: 0.05,
+			Context: newPollBudget(110_000)}
 	}
 	plain, err := cophy.Solve(w, whatif.New(m), cands, opts())
 	if err != nil {
@@ -177,4 +182,27 @@ func TestSelectionQualityUnchanged(t *testing.T) {
 	if math.Abs(plain.Cost-viaINUM.Cost) > 1e-9*plain.Cost {
 		t.Errorf("INUM changed the solve: %v vs %v", viaINUM.Cost, plain.Cost)
 	}
+}
+
+// pollBudget is a context that reports cancellation after a fixed number of
+// Err polls. CoPhy polls its stopper once per built candidate and then every
+// 256 branch-and-bound nodes, so the budget stops a solve after the same
+// amount of work whatever the machine's load (110,000 polls is about 28M
+// nodes, roughly what a 2 s limit reaches on an unloaded 2-CPU host).
+type pollBudget struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newPollBudget(polls int64) *pollBudget {
+	c := &pollBudget{Context: context.Background()}
+	c.left.Store(polls)
+	return c
+}
+
+func (c *pollBudget) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }

@@ -30,8 +30,6 @@ type Config struct {
 	// faultinject.Source for chaos runs). A fresh source is built for
 	// every retune, so call-count-triggered faults fire on each attempt.
 	WrapSource func(whatif.Source) whatif.Source
-	// Reference selects the reference (string-keyed) what-if backend.
-	Reference bool
 
 	// Epsilon and HeavyK parameterize the never-regress guardrail
 	// (drift.PlanOptions); zero means the drift package defaults.
@@ -98,6 +96,7 @@ type Daemon struct {
 
 	mObs       *telemetry.Counter
 	mMalformed *telemetry.Counter
+	mFuture    *telemetry.Counter
 	mThrottled *telemetry.Counter
 	mRetunes   *telemetry.Counter
 	mApplied   *telemetry.Counter
@@ -160,6 +159,7 @@ func New(cfg Config) (*Daemon, error) {
 
 		mObs:       reg.Counter("indexsel_daemon_observations_total", "Query observations ingested."),
 		mMalformed: reg.Counter("indexsel_daemon_observations_malformed_total", "Observations dropped as malformed."),
+		mFuture:    reg.Counter("indexsel_daemon_future_observations_total", "Observations stamped after the daemon clock, ingested at the clock."),
 		mThrottled: reg.Counter("indexsel_daemon_throttled_total", "Observe batches refused with 429 (queue full)."),
 		mRetunes:   reg.Counter("indexsel_daemon_retunes_total", "Drift-triggered re-selection attempts."),
 		mApplied:   reg.Counter("indexsel_daemon_deltas_applied_total", "Accepted delta plans applied to the deployed set."),
@@ -257,7 +257,14 @@ func (d *Daemon) ingest(batch []drift.Observation) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, obs := range batch {
+		// An observation cannot postdate its ingestion: a stamp ahead of the
+		// daemon clock would move the window's decay reference forward and
+		// freeze decay for every later read, so it is taken as "now".
 		at := obs.At
+		if at.After(now) {
+			d.mFuture.Inc()
+			at = now
+		}
 		if at.IsZero() {
 			at = now
 		}
@@ -303,12 +310,7 @@ func (d *Daemon) maybeRetune() {
 	if d.cfg.WrapSource != nil {
 		src = d.cfg.WrapSource(src)
 	}
-	var opt *whatif.Optimizer
-	if d.cfg.Reference {
-		opt = whatif.NewReference(src)
-	} else {
-		opt = whatif.New(src)
-	}
+	opt := whatif.New(src)
 	budget := d.cfg.BudgetBytes
 	if budget <= 0 {
 		budget = model.Budget(d.cfg.BudgetShare)

@@ -417,3 +417,57 @@ func TestDaemonCrashMidApplyRecovers(t *testing.T) {
 		t.Fatalf("store deployed = %v, want empty", d.Store().Deployed())
 	}
 }
+
+// TestDaemonFutureObservationClamped is the regression test for a
+// future-stamped observation freezing the window's decay: one count-1 sample
+// stamped 30 days ahead used to move the window's decay reference forward,
+// wiping the other templates' weight and making total weight read the same
+// at every later time. The daemon now ingests it at its own clock.
+func TestDaemonFutureObservationClamped(t *testing.T) {
+	schema := daemonSchema(t)
+	clock := newFakeClock()
+	d, err := New(Config{Schema: schema, Dir: t.TempDir(), Clock: clock.Now, Seed: 1, HalfLife: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := func(q workload.Query, count int64, at time.Time) drift.Observation {
+		names := make([]string, len(q.Attrs))
+		for i, a := range q.Attrs {
+			names[i] = schema.Attr(a).Name
+		}
+		return drift.Observation{Table: schema.Tables[q.Table].Name, Attrs: names,
+			Kind: q.Kind.String(), Count: count, At: at}
+	}
+	// Five distinct templates (the schema repeats some attribute sets).
+	now := clock.Now()
+	var batch []drift.Observation
+	seen := map[string]bool{}
+	for _, q := range schema.Queries {
+		o := obs(q, 1000, now)
+		if sig := o.Table + strings.Join(o.Attrs, ",") + o.Kind; !seen[sig] && len(batch) < 5 {
+			seen[sig] = true
+			batch = append(batch, o)
+		}
+	}
+	d.ingest(batch)
+	before := d.mFuture.Value()
+	future := batch[0]
+	future.Count, future.At = 1, now.Add(30*24*time.Hour)
+	d.ingest([]drift.Observation{future})
+	if got := d.mFuture.Value() - before; got != 1 {
+		t.Errorf("future observations counted %d, want 1", got)
+	}
+	if d.malformed != 0 {
+		t.Fatalf("%d observations rejected as malformed", d.malformed)
+	}
+	if snap := d.win.Snapshot(now); snap == nil || len(snap.Queries) != 5 {
+		n := 0
+		if snap != nil {
+			n = len(snap.Queries)
+		}
+		t.Fatalf("snapshot after the future sample holds %d templates, want 5", n)
+	}
+	if w1, w10 := d.win.TotalWeight(now.Add(time.Hour)), d.win.TotalWeight(now.Add(10*time.Hour)); w10 >= w1 {
+		t.Errorf("decay frozen: total weight %v at +10h, %v at +1h", w10, w1)
+	}
+}

@@ -1,20 +1,19 @@
 package whatif
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/workload"
 )
 
-// The flat-table backend (New) and the retained string-keyed backend
-// (NewReference) implement one contract; every semantic test here runs
-// against both, so a regression in either backend — or a divergence between
-// them — fails by name.
-
+// forEachBackend runs a cache-contract test once per cache backend, as a
+// subtest named after it. The flat tables built by New are the only backend;
+// the accounting they report is checked against an independent counter in
+// TestAccountingAgainstCountingSource.
 func forEachBackend(t *testing.T, run func(t *testing.T, mk func(Source) *Optimizer)) {
 	t.Run("flat", func(t *testing.T) { run(t, New) })
-	t.Run("reference", func(t *testing.T) { run(t, NewReference) })
 }
 
 func TestBackendsCachingSemantics(t *testing.T) {
@@ -100,41 +99,98 @@ func TestBackendsInvalidate(t *testing.T) {
 	})
 }
 
-func TestBackendsOccupancyAgrees(t *testing.T) {
+// countingSource counts the invocations of the three what-if entry points
+// (base cost, single-index cost, whole-selection cost). Maintenance and size
+// lookups are catalog reads the optimizer never counts as calls, so they
+// pass through uncounted.
+type countingSource struct {
+	Source
+	calls int64
+}
+
+func (c *countingSource) BaseCost(q workload.Query) float64 {
+	c.calls++
+	return c.Source.BaseCost(q)
+}
+
+func (c *countingSource) CostWithIndex(q workload.Query, k workload.Index) float64 {
+	c.calls++
+	return c.Source.CostWithIndex(q, k)
+}
+
+func (c *countingSource) QueryCost(q workload.Query, sel workload.Selection) float64 {
+	c.calls++
+	return c.Source.QueryCost(q, sel)
+}
+
+// TestAccountingAgainstCountingSource checks the optimizer's call accounting
+// against a counter it does not own: Calls must equal the wrapped source's
+// invocations, CacheHits must equal probes minus Calls, every cached answer
+// must equal the direct source answer bit for bit, and Invalidate must cost
+// exactly one recount per dropped entry that is probed again.
+func TestAccountingAgainstCountingSource(t *testing.T) {
 	w := testWorkload(t)
 	m := costmodel.New(w, costmodel.SingleIndex)
-	flat, ref := New(m), NewReference(m)
-	for _, o := range []*Optimizer{flat, ref} {
-		for _, q := range w.Queries {
-			k := workload.MustIndex(w, q.Attrs[0])
-			o.CostWithIndex(q, k)
-			o.MaintenanceCost(q, k)
-			o.IndexSize(k)
+	src := &countingSource{Source: m}
+	o := New(src)
+
+	var probes int64
+	check := func(label string, got, want float64) {
+		t.Helper()
+		probes++
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: cached %v, source %v", label, got, want)
 		}
 	}
-	fs, rs := flat.Stats(), ref.Stats()
-	if fs.Calls != rs.Calls || fs.CacheHits != rs.CacheHits {
-		t.Errorf("call accounting diverges: flat %+v vs reference %+v", fs, rs)
+	// Every query against every single-attribute index of its table (one
+	// applicable or not) and one two-attribute prefix, twice: the second
+	// round is served from the cache.
+	for round := 0; round < 2; round++ {
+		for _, q := range w.Queries {
+			check("base", o.BaseCost(q), m.BaseCost(q))
+			for _, a := range w.Tables[q.Table].Attrs {
+				k := workload.MustIndex(w, a)
+				want := m.BaseCost(q)
+				if workload.Applicable(q, k) {
+					want = m.CostWithIndex(q, k)
+				}
+				check("single", o.CostWithIndex(q, k), want)
+			}
+			k := workload.MustIndex(w, q.Attrs...)
+			check("prefix", o.CostWithIndex(q, k), m.CostWithIndex(q, k))
+		}
+		s := o.Stats()
+		if s.Calls != src.calls {
+			t.Fatalf("round %d: Stats().Calls = %d, source invoked %d times", round, s.Calls, src.calls)
+		}
+		if s.CacheHits != probes-s.Calls {
+			t.Fatalf("round %d: CacheHits = %d, want probes-Calls = %d-%d", round, s.CacheHits, probes, s.Calls)
+		}
 	}
-	if fs.IndexCacheEntries != rs.IndexCacheEntries {
-		t.Errorf("occupancy diverges: flat %d vs reference %d", fs.IndexCacheEntries, rs.IndexCacheEntries)
+
+	q := w.Queries[0]
+	k := workload.MustIndex(w, q.Attrs[0])
+	before := src.calls
+	o.Invalidate(q)
+	check("base after invalidate", o.BaseCost(q), m.BaseCost(q))
+	check("cost after invalidate", o.CostWithIndex(q, k), m.CostWithIndex(q, k))
+	if got := src.calls - before; got != 2 {
+		t.Errorf("re-probing base and one index after Invalidate cost %d source calls, want 2", got)
 	}
-	if fs.IndexShardEntries != rs.IndexShardEntries {
-		t.Errorf("shard layout diverges:\nflat %v\nref  %v", fs.IndexShardEntries, rs.IndexShardEntries)
+	check("cost cached again", o.CostWithIndex(q, k), m.CostWithIndex(q, k))
+	if got := src.calls - before; got != 2 {
+		t.Errorf("second probe after Invalidate recounted: %d source calls, want 2", got)
 	}
-	if fs.DistinctIndexes != rs.DistinctIndexes {
-		t.Errorf("distinct sized indexes: flat %d vs reference %d", fs.DistinctIndexes, rs.DistinctIndexes)
-	}
-	if fs.InternedIndexes == 0 {
-		t.Error("flat backend reports zero interned indexes after sizing")
+	if s := o.Stats(); s.Calls != src.calls || s.CacheHits != probes-s.Calls {
+		t.Errorf("after Invalidate: Calls %d (source %d), CacheHits %d (want %d)",
+			s.Calls, src.calls, s.CacheHits, probes-s.Calls)
 	}
 }
 
 // TestFlatShardGrowthAndTombstones drives one flat shard through several
 // rehash generations with interleaved invalidations: values must survive
 // growth, tombstoned slots must be reusable, and live accounting must stay
-// exact. This is the open-addressing edge-case coverage the map-based
-// reference never needed.
+// exact.
 func TestFlatShardGrowthAndTombstones(t *testing.T) {
 	var sh flatShard
 	const queries = 64

@@ -7,10 +7,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Hot-path microbenchmarks behind `make bench-whatif`. The flat/reference
-// pairs quantify exactly what the interned flat tables buy over the
-// string-keyed maps; CI guards the cached-probe allocation count (the
-// candidate-evaluation inner loop) against regressing back to allocating.
+// Hot-path microbenchmarks behind `make bench-whatif`. CI guards the
+// cached-probe allocation count (the candidate-evaluation inner loop) against
+// regressing back to allocating.
 
 func benchWorkload(b *testing.B) *workload.Workload {
 	b.Helper()
@@ -70,8 +69,7 @@ func benchCachedProbe(b *testing.B, mk func(Source) *Optimizer) {
 	_ = sink
 }
 
-func BenchmarkWhatifCachedProbe_Flat(b *testing.B)      { benchCachedProbe(b, New) }
-func BenchmarkWhatifCachedProbe_Reference(b *testing.B) { benchCachedProbe(b, NewReference) }
+func BenchmarkWhatifCachedProbe_Flat(b *testing.B) { benchCachedProbe(b, New) }
 
 func benchColdProbe(b *testing.B, mk func(Source) *Optimizer) {
 	w := benchWorkload(b)
@@ -93,8 +91,7 @@ func benchColdProbe(b *testing.B, mk func(Source) *Optimizer) {
 	_ = sink
 }
 
-func BenchmarkWhatifColdProbe_Flat(b *testing.B)      { benchColdProbe(b, New) }
-func BenchmarkWhatifColdProbe_Reference(b *testing.B) { benchColdProbe(b, NewReference) }
+func BenchmarkWhatifColdProbe_Flat(b *testing.B) { benchColdProbe(b, New) }
 
 // Applicable: the per-query attribute bitset versus the linear scan fallback
 // (a hand-built Query value has no precomputed access set).

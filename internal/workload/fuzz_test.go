@@ -53,8 +53,8 @@ func FuzzIndexKeyRoundTrip(f *testing.F) {
 
 // FuzzCompareIndexKeys: the allocation-free comparison must order any two
 // indexes exactly like strings.Compare over their canonical keys — that is
-// the tie-break contract the interned selector relies on to match the
-// string-keyed reference bit for bit.
+// the tie-break contract that keeps the interned selector's order equal to
+// the string order of Selection.Sorted and Key().
 func FuzzCompareIndexKeys(f *testing.F) {
 	f.Add([]byte{1, 2}, []byte{1, 2, 3})  // proper prefix
 	f.Add([]byte{10, 2}, []byte{2, 10})   // multi-digit vs lexicographic

@@ -155,9 +155,9 @@ func (it *Interner) Len() int {
 
 // CompareIndexKeys orders two indexes exactly as strings.Compare orders their
 // canonical Key() strings, without materializing either string. It is the
-// deterministic tie-break order shared by the interned fast path and the
-// retained string-keyed reference implementation — the differential tests
-// rely on the two orders agreeing on every pair. Attribute IDs must be
+// deterministic tie-break order of the interned selector, and it must agree
+// on every pair with the string order of Selection.Sorted and Key(), which
+// the string-keyed code paths use. Attribute IDs must be
 // non-negative (enforced by NewIndex / workload validation).
 func CompareIndexKeys(a, b Index) int {
 	n := len(a.Attrs)
