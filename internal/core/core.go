@@ -345,6 +345,11 @@ type selector struct {
 	mem   int64                      // P(I)
 	recon float64                    // R(I) under opts.Reconfig (0 if nil)
 
+	// byLead lists each lead attribute's selected indexes in canonical key
+	// order, kept up to date by addIndex/removeIndex, so the lazy loop's
+	// bucket rebuild reads its bucket's slice of the selection directly.
+	byLead [][]selEntry
+
 	writeQs []int
 
 	// candCost caches f_j(candidate) aligned with queriesWith[lead];
@@ -432,6 +437,7 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 		size: make(map[workload.IndexID]int64),
 	}
 	s.sel = workload.NewIDSelection(s.in)
+	s.byLead = make([][]selEntry, w.NumAttrs())
 	s.stop = fault.NewStopper(opts.Context, opts.Deadline)
 	s.workers = resolveWorkers(opts)
 	s.queriesWith = make([][]int32, w.NumAttrs())
@@ -690,9 +696,10 @@ type selEntry struct {
 	k  workload.Index
 }
 
-// sortedSel returns the selection in canonical key order — the iteration
-// order every order-sensitive loop (enumerate, dropUnused) uses, matching
-// workload.Selection.Sorted.
+// sortedSel returns the selection in canonical key order, matching
+// workload.Selection.Sorted. Its callers are the whole-selection loops,
+// enumerate and dropUnused; the lazy loop's per-bucket rebuild reads the
+// same order, filtered to one lead, from byLead instead.
 func (s *selector) sortedSel() []selEntry {
 	out := make([]selEntry, 0, s.sel.Len())
 	for _, id := range s.sel.IDs() {
@@ -728,7 +735,8 @@ func (s *selector) enumerate() []evalTask {
 	}
 
 	// Step (3b): append one attribute to each selected index.
-	for _, e := range s.sortedSel() {
+	sel := s.sortedSel()
+	for _, e := range sel {
 		for _, a := range s.w.Tables[e.k.Table].Attrs {
 			if e.k.Contains(a) {
 				continue
@@ -749,7 +757,7 @@ func (s *selector) enumerate() []evalTask {
 			if !s.sel.Has(id) {
 				tasks = append(tasks, evalTask{kind: StepNewPair, index: idx, id: id})
 			}
-			for _, e := range s.sortedSel() {
+			for _, e := range sel {
 				if e.k.Table != idx.Table || e.k.Contains(p[0]) || e.k.Contains(p[1]) {
 					continue
 				}
@@ -835,6 +843,9 @@ func (s *selector) collect() (best, second candidate, haveSecond, ok bool, err e
 // when the extension lands has no net change, and its co-occurring new-index
 // evaluations are still exact.
 func (s *selector) mutateStep(lead int, f func()) {
+	if mutateHook != nil {
+		defer mutateHook(s)
+	}
 	if s.lazy == nil && !s.opts.Explain {
 		f()
 		return
@@ -853,6 +864,11 @@ func (s *selector) mutateStep(lead int, f func()) {
 		s.lazy.noteMutation(s, lead, snap)
 	}
 }
+
+// mutateHook, when non-nil, receives the selector after every applied or
+// dropped step. Test instrumentation for the selection bookkeeping; nil in
+// production.
+var mutateHook func(*selector)
 
 // captureDeltas turns mutateStep's cost snapshot into the step's per-query
 // provenance: every affected query's frequency-weighted movement, plus the
@@ -1029,6 +1045,13 @@ func (s *selector) apply(c candidate, second candidate, haveSecond bool) {
 // Callers mutate through mutateStep, which handles lazy-loop invalidation.
 func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 	s.sel.Add(id)
+	lead := idx.Leading()
+	list := s.byLead[lead]
+	i := leadPos(list, idx)
+	list = append(list, selEntry{})
+	copy(list[i+1:], list[i:])
+	list[i] = selEntry{id: id, k: s.in.Index(id)}
+	s.byLead[lead] = list
 	sz := s.indexSize(idx, id)
 	s.size[id] = sz
 	s.mem += sz
@@ -1048,6 +1071,11 @@ func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 // mutateStep, which handles lazy-loop invalidation.
 func (s *selector) removeIndex(idx workload.Index, id workload.IndexID) {
 	s.sel.Remove(id)
+	lead := idx.Leading()
+	list := s.byLead[lead]
+	if i := leadPos(list, idx); i < len(list) && list[i].id == id {
+		s.byLead[lead] = append(list[:i], list[i+1:]...)
+	}
 	s.mem -= s.size[id]
 	s.wsum -= s.maintFor(idx, id)
 	delete(s.size, id)
@@ -1067,6 +1095,14 @@ func (s *selector) removeIndex(idx workload.Index, id workload.IndexID) {
 			s.cost[qid] = niu
 		}
 	}
+}
+
+// leadPos is the position of idx in a byLead list: the index of the first
+// entry not ordered before it.
+func leadPos(list []selEntry, idx workload.Index) int {
+	return sort.Search(len(list), func(i int) bool {
+		return workload.CompareIndexKeys(list[i].k, idx) >= 0
+	})
 }
 
 // dropUnused evicts selected indexes whose removal does not worsen the total

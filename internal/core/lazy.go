@@ -136,6 +136,13 @@ type lazyState struct {
 
 	heap   lazyHeap
 	opened []int32 // buckets opened during the current step (scratch)
+
+	// collectLazy's evaluation batch buffers, lazyBatchSize long and reused
+	// across steps.
+	batch   []*lazyEntry
+	tasks   []evalTask
+	results []gainEntry
+	pending []int
 }
 
 // lazyAuditInfo is what lazyAuditHook (tests only) receives for every
@@ -164,6 +171,10 @@ func newLazyState(s *selector) *lazyState {
 		slack:    make([]float64, n),
 		dirty:    make([]bool, n),
 		buckets:  make([]lazyBucket, n),
+		batch:    make([]*lazyEntry, 0, lazyBatchSize),
+		tasks:    make([]evalTask, lazyBatchSize),
+		results:  make([]gainEntry, lazyBatchSize),
+		pending:  make([]int, lazyBatchSize),
 	}
 	for b := range lz.dirty {
 		lz.dirty[b] = true // first step enumerates (and evaluates) everything
@@ -244,11 +255,8 @@ func (s *selector) rebuildBucket(b int) {
 	}
 
 	// Step (3b): one-attribute extensions of selected indexes leading with b.
-	sel := s.sortedSel()
+	sel := s.byLead[b]
 	for _, e := range sel {
-		if e.k.Leading() != b {
-			continue
-		}
 		for _, a := range s.w.Tables[e.k.Table].Attrs {
 			if e.k.Contains(a) {
 				continue
@@ -272,7 +280,7 @@ func (s *selector) rebuildBucket(b int) {
 				}
 			}
 			for _, e := range sel {
-				if e.k.Leading() != b || e.k.Table != s.w.TableOf(p[0]) ||
+				if e.k.Table != s.w.TableOf(p[0]) ||
 					e.k.Contains(p[0]) || e.k.Contains(p[1]) {
 					continue
 				}
@@ -366,8 +374,9 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 		if bk.unevaled == 0 && bk.hasAgg {
 			prio = bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
 		}
-		lz.heap.push(prio, int32(b), nil)
+		lz.heap.add(prio, int32(b), nil)
 	}
+	lz.heap.heapify()
 
 	evaluated, cached := 0, 0
 	budgetExcluded, approxCut, stopped := false, false, false
@@ -399,10 +408,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 		return best.ratio, true
 	}
 
-	batch := make([]*lazyEntry, 0, lazyBatchSize)
-	tasks := make([]evalTask, lazyBatchSize)
-	results := make([]gainEntry, lazyBatchSize)
-	pending := make([]int, lazyBatchSize)
+	batch, tasks, results, pending := lz.batch[:0], lz.tasks, lz.results, lz.pending
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -664,12 +670,8 @@ func (h *lazyHeap) before(a, b lazyItem) bool {
 }
 
 func (h *lazyHeap) push(prio float64, bucket int32, e *lazyEntry) {
-	it := lazyItem{prio: prio, seq: h.next, bucket: bucket, entry: e}
-	h.next++
-	h.items = append(h.items, it)
-	if len(h.items) > h.maxLen {
-		h.maxLen = len(h.items)
-	}
+	h.add(prio, bucket, e)
+	h.noteMaxLen()
 	i := len(h.items) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -681,26 +683,54 @@ func (h *lazyHeap) push(prio float64, bucket int32, e *lazyEntry) {
 	}
 }
 
+// add appends an item without restoring heap order; the sentinel build
+// appends every bucket, then heapifies once in O(B). Pop order depends only
+// on the strict (prio desc, seq asc) order, never on the heap's shape.
+func (h *lazyHeap) add(prio float64, bucket int32, e *lazyEntry) {
+	h.items = append(h.items, lazyItem{prio: prio, seq: h.next, bucket: bucket, entry: e})
+	h.next++
+}
+
+// heapify restores heap order over all items (Floyd's bottom-up build).
+func (h *lazyHeap) heapify() {
+	h.noteMaxLen()
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// noteMaxLen records the heap's high-water mark for the heap-depth gauge.
+func (h *lazyHeap) noteMaxLen() {
+	if len(h.items) > h.maxLen {
+		h.maxLen = len(h.items)
+	}
+}
+
 func (h *lazyHeap) pop() lazyItem {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
 	h.items = h.items[:last]
-	i := 0
+	h.down(0)
+	return top
+}
+
+// down sifts item i toward the leaves until heap order holds below it.
+func (h *lazyHeap) down(i int) {
+	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
-		if l >= last {
-			break
+		if l >= n {
+			return
 		}
 		c := l
-		if r < last && h.before(h.items[r], h.items[l]) {
+		if r < n && h.before(h.items[r], h.items[l]) {
 			c = r
 		}
 		if !h.before(h.items[c], h.items[i]) {
-			break
+			return
 		}
 		h.items[i], h.items[c] = h.items[c], h.items[i]
 		i = c
 	}
-	return top
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -313,6 +315,143 @@ func TestLazyAccountingDeterministicAcrossParallelism(t *testing.T) {
 		if base.Evaluated != got.Evaluated || base.Pruned != got.Pruned {
 			t.Errorf("P%d run totals (%d,%d) vs serial (%d,%d)",
 				p, got.Evaluated, got.Pruned, base.Evaluated, base.Pruned)
+		}
+	}
+}
+
+// byLeadMismatch reports the first lead whose byLead list differs from the
+// lead's subsequence of the canonically sorted selection ("" if none).
+func byLeadMismatch(s *selector) string {
+	want := make([][]selEntry, len(s.byLead))
+	for _, e := range s.sortedSel() {
+		want[e.k.Leading()] = append(want[e.k.Leading()], e)
+	}
+	for b, got := range s.byLead {
+		if len(got) != len(want[b]) {
+			return fmt.Sprintf("byLead[%d] holds %d indexes, selection %d", b, len(got), len(want[b]))
+		}
+		for i := range got {
+			if got[i].id != want[b][i].id || got[i].k.Key() != want[b][i].k.Key() {
+				return fmt.Sprintf("byLead[%d][%d] = %s, sorted selection has %s",
+					b, i, got[i].k.Key(), want[b][i].k.Key())
+			}
+		}
+	}
+	return ""
+}
+
+// TestByLeadMatchesSortedSel pins the per-lead selected lists the bucket
+// rebuild reads: byLead[b] must always be exactly the lead-b subsequence of
+// the canonically sorted selection. It checks after every applied and
+// dropped step of the lazy loop with pair steps on seeded workloads, of a
+// write-heavy workload that produces drop steps, and of the Reconfig sweep;
+// and after every add and remove of a seeded random sequence that stacks
+// many indexes on few leads in arbitrary order, which selection runs rarely
+// do.
+func TestByLeadMatchesSortedSel(t *testing.T) {
+	type tcase struct {
+		name     string
+		w        *workload.Workload
+		opts     Options
+		drop     bool // the run must record at least one drop step
+		reconfig bool // run the from-scratch sweep under a per-byte Reconfig
+	}
+	var cases []tcase
+	for _, seed := range []int64{3, 11, 29} {
+		cases = append(cases, tcase{
+			name: fmt.Sprintf("pairs%d", seed),
+			w:    gen(t, 4, 12, 50, 80_000, seed),
+			opts: Options{PairSteps: true, PairLimit: 30, TrackSecondBest: true},
+		})
+	}
+	for _, seed := range []int64{15, 22} {
+		cases = append(cases, tcase{
+			name: fmt.Sprintf("writes%d", seed),
+			w:    writeGen(t, 0.3, seed),
+			opts: Options{DropUnused: true},
+			drop: true,
+		})
+	}
+	cases = append(cases, tcase{
+		name:     "reconfig",
+		w:        writeWorkload(19, 0.3),
+		opts:     Options{PairSteps: true, PairLimit: 30, DropUnused: true},
+		reconfig: true,
+	})
+
+	for _, tc := range cases {
+		m := costmodel.New(tc.w, costmodel.SingleIndex)
+		opts := tc.opts
+		opts.Budget = m.Budget(0.5)
+		if tc.reconfig {
+			opts.Reconfig = perByteReconfig(tc.w, m, 0.05, opts.Budget)
+		}
+		// A broken list can make the run extend stale indexes forever, so the
+		// first mismatch also stops the run at the next step boundary.
+		ctx, cancel := context.WithCancel(context.Background())
+		opts.Context = ctx
+		mutations, failed := 0, false
+		mutateHook = func(s *selector) {
+			mutations++
+			if msg := byLeadMismatch(s); msg != "" && !failed {
+				failed = true
+				t.Errorf("%s: mutation %d: %s", tc.name, mutations, msg)
+				cancel()
+			}
+		}
+		res, err := Select(tc.w, whatif.New(m), opts)
+		mutateHook = nil
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if failed {
+			t.FailNow()
+		}
+		if mutations != len(res.Steps) || mutations == 0 {
+			t.Fatalf("%s: hook saw %d mutations for %d steps", tc.name, mutations, len(res.Steps))
+		}
+		drops := 0
+		for _, st := range res.Steps {
+			if st.Kind == StepDrop {
+				drops++
+			}
+		}
+		if tc.drop && drops == 0 {
+			t.Fatalf("%s: no drop step recorded; the case no longer covers removals", tc.name)
+		}
+	}
+
+	// Direct: random composites on the first table's first three leads,
+	// added and removed in seeded random order.
+	w := gen(t, 2, 10, 30, 80_000, 5)
+	m := costmodel.New(w, costmodel.SingleIndex)
+	s := newSelector(w, whatif.New(m), Options{Budget: m.Budget(0.5)})
+	attrs := w.Tables[0].Attrs
+	rng := rand.New(rand.NewSource(13))
+	var pool []workload.Index
+	for _, lead := range attrs[:3] {
+		for n := 0; n < 12; n++ {
+			k := workload.Index{Table: 0, Attrs: []int{lead}}
+			for _, a := range rng.Perm(len(attrs))[:rng.Intn(3)] {
+				if !k.Contains(attrs[a]) {
+					k = k.Append(attrs[a])
+				}
+			}
+			pool = append(pool, k)
+		}
+	}
+	for op := 0; op < 400; op++ {
+		k := pool[rng.Intn(len(pool))]
+		id := s.in.Intern(k)
+		s.ensure()
+		if s.sel.Has(id) {
+			s.removeIndex(k, id)
+		} else {
+			s.addIndex(k, id)
+		}
+		if msg := byLeadMismatch(s); msg != "" {
+			t.Fatalf("direct: op %d on %s: %s", op, k.Key(), msg)
 		}
 	}
 }
