@@ -48,7 +48,11 @@
 // buckets keep an aggregate bound (max entry bound at a recorded rise level,
 // plus the bucket's minimum memory delta to convert future rise into ratio),
 // so a bucket whose aggregate cannot beat the winner costs one heap node per
-// step — its entries are never touched, no evalTask is rebuilt.
+// step — its entries are never touched, no evalTask is rebuilt. The
+// sentinels live in a persistent indexed heap; a step re-keys only the
+// buckets on its stale list (rebuilt, opened, or whose rise grew), so the
+// bookkeeping per step scales with what the step touched, not with the
+// number of buckets.
 //
 // Universe maintenance exploits that a step's candidate-set changes are
 // confined to the applied (or dropped) index's lead bucket: extensions of
@@ -61,20 +65,22 @@
 // new-index entries, which are pure functions of cost[]. An entry whose epoch
 // still matches is served from cache without re-evaluation.
 //
-// Determinism: the heap is built and consumed serially with a push-sequence
-// tie-break, and stale candidates are re-evaluated in constant-size batches
-// (lazyBatchSize, independent of the worker count) on the PR-1 worker pool,
-// so the set of evaluated candidates — and with it the whole trace and the
-// Step accounting — is identical at every Parallelism. The stop rule is
-// strict (top bound < threshold): candidates whose bound ties the winner are
-// still evaluated so tie-breaks match a from-scratch sweep.
-// Options.Approximate relaxes only this cut to threshold*(1+eps), trading
-// exactness of the step choice (within a (1+eps) ratio factor) for fewer
-// evaluations.
+// Determinism: the heaps are built and consumed serially with fixed
+// tie-breaks (sentinels by bucket, entries by push order, a sentinel before
+// an entry of equal priority), and stale candidates are re-evaluated in
+// constant-size batches (lazyBatchSize, independent of the worker count) on
+// the PR-1 worker pool, so the set of evaluated candidates — and with it the
+// whole trace and the Step accounting — is identical at every Parallelism.
+// The stop rule is strict (top bound < threshold): candidates whose bound
+// ties the winner are still evaluated so tie-breaks match a from-scratch
+// sweep. Options.Approximate relaxes only this cut to threshold*(1+eps),
+// trading exactness of the step choice (within a (1+eps) ratio factor) for
+// fewer evaluations.
 package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/explain"
@@ -131,11 +137,21 @@ type lazyState struct {
 	newEpoch []uint64  // bumped when a co-occurring query's cost net-changed
 	rise     []float64 // accumulated freq-weighted net cost increases
 	slack    []float64 // absolute numerator slack per bucket
-	dirty    []bool    // bucket universe must be re-enumerated
 	buckets  []lazyBucket
 
-	heap   lazyHeap
-	opened []int32 // buckets opened during the current step (scratch)
+	// dirty marks buckets whose universe must be re-enumerated before the
+	// next step, listed once each in dirtyList; stale and staleList do the
+	// same for buckets whose sentinel must be re-keyed.
+	dirty     []bool
+	dirtyList []int32
+	stale     []bool
+	staleList []int32
+
+	candidates int // total entries over all buckets (Step.Candidates)
+
+	sent   sentinelHeap // one sentinel per non-empty bucket, across steps
+	heap   lazyHeap     // the current step's entry items
+	opened []int32      // buckets opened during the current step (scratch)
 
 	// collectLazy's evaluation batch buffers, lazyBatchSize long and reused
 	// across steps.
@@ -156,6 +172,11 @@ type lazyAuditInfo struct {
 	fresh  gainEntry
 }
 
+// sentinelHook, when non-nil, receives the selector at the start of every
+// lazy step, right after the stale sentinels were re-keyed. Test
+// instrumentation for the sentinel heap; nil in production.
+var sentinelHook func(*selector)
+
 // lazyAuditHook, when non-nil, makes collectLazy re-evaluate EVERY candidate
 // after deciding a step and report bound-vs-fresh pairs — including for
 // candidates the bounds pruned. Test instrumentation for the soundness
@@ -169,15 +190,17 @@ func newLazyState(s *selector) *lazyState {
 		newEpoch: make([]uint64, n),
 		rise:     make([]float64, n),
 		slack:    make([]float64, n),
-		dirty:    make([]bool, n),
 		buckets:  make([]lazyBucket, n),
+		dirty:    make([]bool, n),
+		stale:    make([]bool, n),
+		sent:     newSentinelHeap(n),
 		batch:    make([]*lazyEntry, 0, lazyBatchSize),
 		tasks:    make([]evalTask, lazyBatchSize),
 		results:  make([]gainEntry, lazyBatchSize),
 		pending:  make([]int, lazyBatchSize),
 	}
 	for b := range lz.dirty {
-		lz.dirty[b] = true // first step enumerates (and evaluates) everything
+		lz.markDirty(b) // first step enumerates (and evaluates) everything
 	}
 	for b, qs := range s.queriesWith {
 		var wgt float64
@@ -197,6 +220,50 @@ func (lz *lazyState) epoch(kind StepKind, b int) uint64 {
 	return lz.extEpoch[b]
 }
 
+// markDirty queues bucket b for re-enumeration before the next step.
+func (lz *lazyState) markDirty(b int) {
+	if !lz.dirty[b] {
+		lz.dirty[b] = true
+		lz.dirtyList = append(lz.dirtyList, int32(b))
+	}
+}
+
+// markStale queues bucket b's sentinel for re-keying before the next step.
+// Every input of sentinelPrio changes only where a bucket is marked: its
+// entries and unevaled count in rebuildBucket, its unevaled count and
+// aggregate when it is opened, its rise in noteMutation.
+func (lz *lazyState) markStale(b int) {
+	if !lz.stale[b] {
+		lz.stale[b] = true
+		lz.staleList = append(lz.staleList, int32(b))
+	}
+}
+
+// sentinelPrio is bucket b's sentinel priority: +Inf while any entry is
+// unevaluated (the bucket must open), else its aggregate bound lifted by the
+// rise since the aggregate was recorded.
+func (lz *lazyState) sentinelPrio(b int) float64 {
+	bk := &lz.buckets[b]
+	if bk.unevaled > 0 || !bk.hasAgg {
+		return math.Inf(1)
+	}
+	return bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
+}
+
+// rekey brings the stale buckets' sentinels up to date: an empty bucket has
+// none, any other is inserted or re-keyed at its current priority.
+func (lz *lazyState) rekey() {
+	for _, b := range lz.staleList {
+		lz.stale[b] = false
+		if len(lz.buckets[b].entries) == 0 {
+			lz.sent.remove(b)
+		} else {
+			lz.sent.set(b, lz.sentinelPrio(int(b)))
+		}
+	}
+	lz.staleList = lz.staleList[:0]
+}
+
 // entryBound is the sound stale upper bound on e's current ratio.
 func (lz *lazyState) entryBound(e *lazyEntry) float64 {
 	b := e.lead
@@ -205,9 +272,10 @@ func (lz *lazyState) entryBound(e *lazyEntry) float64 {
 
 // noteMutation is mutateStep's lazy arm: translate one applied/dropped
 // step's net per-query cost movement into epoch bumps and rise accumulation,
-// and mark the mutated lead bucket's universe dirty.
+// mark the mutated lead bucket's universe dirty and every bucket whose rise
+// grew stale.
 func (lz *lazyState) noteMutation(s *selector, lead int, snap []float64) {
-	lz.dirty[lead] = true
+	lz.markDirty(lead)
 	for i, qid := range s.queriesWith[lead] {
 		q := s.w.Queries[qid]
 		old, now := snap[i], s.cost[qid]
@@ -219,7 +287,10 @@ func (lz *lazyState) noteMutation(s *selector, lead int, snap []float64) {
 			lz.extEpoch[a]++
 			if now != old {
 				lz.newEpoch[a]++
-				lz.rise[a] += riseDelta
+				if riseDelta > 0 {
+					lz.rise[a] += riseDelta
+					lz.markStale(a)
+				}
 			}
 		}
 	}
@@ -233,6 +304,7 @@ func (s *selector) rebuildBucket(b int) {
 	lz := s.lazy
 	bk := &lz.buckets[b]
 	old := bk.byKey
+	lz.candidates -= len(bk.entries)
 	bk.entries = bk.entries[:0]
 	bk.byKey = make(map[gainKey]*lazyEntry, len(old)+1)
 	add := func(t evalTask) {
@@ -300,6 +372,8 @@ func (s *selector) rebuildBucket(b int) {
 			bk.unevaled++
 		}
 	}
+	lz.candidates += len(bk.entries)
+	lz.markStale(b)
 	// The surviving aggregate (if any) is still sound: dropped entries only
 	// removed constraints, and newcomers force the +Inf sentinel via
 	// unevaled anyway.
@@ -351,32 +425,26 @@ func (lz *lazyState) refreshAgg(b int) {
 func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, err error) {
 	lz := s.lazy
 
-	// Serial phase: refresh dirty bucket universes, then cover any freshly
-	// interned IDs before workers may touch the flat tables.
-	for b := range lz.dirty {
-		if lz.dirty[b] {
-			s.rebuildBucket(b)
-			lz.dirty[b] = false
-		}
+	// Serial phase: refresh dirty bucket universes in bucket order (which
+	// fixes the interning order), cover any freshly interned IDs before
+	// workers may touch the flat tables, then re-key the stale sentinels.
+	slices.Sort(lz.dirtyList)
+	for _, b := range lz.dirtyList {
+		s.rebuildBucket(int(b))
+		lz.dirty[b] = false
 	}
+	lz.dirtyList = lz.dirtyList[:0]
 	s.ensure()
-
-	total := 0
-	lz.heap.reset()
-	for b := range lz.buckets {
-		bk := &lz.buckets[b]
-		n := len(bk.entries)
-		total += n
-		if n == 0 {
-			continue
-		}
-		prio := math.Inf(1)
-		if bk.unevaled == 0 && bk.hasAgg {
-			prio = bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
-		}
-		lz.heap.add(prio, int32(b), nil)
+	lz.rekey()
+	if sentinelHook != nil {
+		sentinelHook(s)
 	}
-	lz.heap.heapify()
+
+	total := lz.candidates
+	lz.heap.reset()
+	// depth is the step's peak count of remaining sentinels plus pushed
+	// entries (the indexsel_lazy_heap_depth gauge).
+	depth := lz.sent.len()
 
 	evaluated, cached := 0, 0
 	budgetExcluded, approxCut, stopped := false, false, false
@@ -439,9 +507,18 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 		return nil
 	}
 
+	// Pop the best of both heaps by priority; on a tie the sentinel goes
+	// first, as if every sentinel had been pushed before every entry.
 	lz.opened = lz.opened[:0]
-	for lz.heap.len() > 0 {
-		top := lz.heap.peekPrio()
+	for lz.sent.len() > 0 || lz.heap.len() > 0 {
+		fromSent := lz.heap.len() == 0 ||
+			(lz.sent.len() > 0 && lz.sent.peekPrio() >= lz.heap.peekPrio())
+		var top float64
+		if fromSent {
+			top = lz.sent.peekPrio()
+		} else {
+			top = lz.heap.peekPrio()
+		}
 		if t, have := threshold(); have {
 			cut := t
 			if s.opts.Approximate > 0 {
@@ -452,29 +529,34 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 				break
 			}
 		}
-		it := lz.heap.pop()
-		if it.entry == nil {
-			// Bucket sentinel: open the bucket, pricing each entry.
-			b := int(it.bucket)
-			lz.opened = append(lz.opened, it.bucket)
+		if fromSent {
+			// Bucket sentinel: open the bucket, pricing each entry. Opening
+			// moves its unevaled count and aggregate, so it is re-keyed
+			// before the next step.
+			b := lz.sent.pop()
+			lz.opened = append(lz.opened, b)
+			lz.markStale(int(b))
 			for _, e := range lz.buckets[b].entries {
 				switch {
 				case !e.evaluated:
-					lz.heap.push(math.Inf(1), it.bucket, e)
+					lz.heap.push(math.Inf(1), e)
 				case e.dead:
 					cached++ // known non-viable forever, no recomputation
-				case lz.epoch(e.key.kind, b) == e.epochAt:
+				case lz.epoch(e.key.kind, int(b)) == e.epochAt:
 					cached++ // exact: the recorded evaluation still holds
 					if e.viable {
-						lz.heap.push(e.cand.ratio, it.bucket, e)
+						lz.heap.push(e.cand.ratio, e)
 					}
 				default:
-					lz.heap.push(lz.entryBound(e), it.bucket, e)
+					lz.heap.push(lz.entryBound(e), e)
 				}
+			}
+			if d := lz.sent.len() + lz.heap.len(); d > depth {
+				depth = d
 			}
 			continue
 		}
-		e := it.entry
+		e := lz.heap.pop().entry
 		if e.evaluated && !e.dead && lz.epoch(e.key.kind, int(e.lead)) == e.epochAt {
 			reduce(e.cand) // exact entries were pushed only when viable
 			continue
@@ -512,7 +594,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	s.totalCached += cached
 	s.totalPruned += s.lastPruned
 	mLazyEvalsSaved.Add(int64(s.lastPruned))
-	mLazyHeapDepth.Set(float64(lz.heap.maxLen))
+	mLazyHeapDepth.Set(float64(depth))
 	if approxCut {
 		mLazyApproxSteps.Inc()
 	}
@@ -543,28 +625,26 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 // item is an individually pruned stale candidate (exact entries left on the
 // heap were already counted cache-served and are excluded). The ledger's
 // Skipped total therefore equals the step's Pruned count exactly. Read-only
-// over the heap; runs only under Options.Explain, after the decision is
+// over both heaps; runs only under Options.Explain, after the decision is
 // final — it cannot perturb the trace.
 func (lz *lazyState) captureLedger(s *selector) {
 	bkts := make(map[int32]*explain.PrunedBucket)
 	order := make([]int32, 0, 16)
 	skipped := 0
-	for _, it := range lz.heap.items {
-		if it.entry == nil {
-			b := it.bucket
-			bk := &lz.buckets[b]
-			n := len(bk.entries)
-			bkts[b] = &explain.PrunedBucket{
-				Lead:    int(b),
-				Bound:   it.prio,
-				Epoch:   lz.extEpoch[b],
-				Entries: n,
-				Skipped: n,
-			}
-			order = append(order, b)
-			skipped += n
-			continue
+	for _, it := range lz.sent.items {
+		b := it.bucket
+		n := len(lz.buckets[b].entries)
+		bkts[b] = &explain.PrunedBucket{
+			Lead:    int(b),
+			Bound:   it.prio,
+			Epoch:   lz.extEpoch[b],
+			Entries: n,
+			Skipped: n,
 		}
+		order = append(order, b)
+		skipped += n
+	}
+	for _, it := range lz.heap.items {
 		e := it.entry
 		if e.evaluated && !e.dead && lz.epoch(e.key.kind, int(e.lead)) == e.epochAt {
 			continue // exact: counted cache-served at bucket open
@@ -635,27 +715,24 @@ func (s *selector) auditLazyStep() {
 	}
 }
 
-// lazyItem is one heap node: a candidate entry, or a bucket sentinel when
-// entry is nil.
+// lazyItem is one entry node of the per-step heap.
 type lazyItem struct {
-	prio   float64
-	seq    int32 // deterministic tie-break: push order
-	bucket int32
-	entry  *lazyEntry
+	prio  float64
+	seq   int32 // deterministic tie-break: push order
+	entry *lazyEntry
 }
 
-// lazyHeap is a serial max-heap over bound priorities with a push-order
-// tie-break, so pop order — and with it the evaluated set — is deterministic.
+// lazyHeap is a serial max-heap over entry bound priorities with a
+// push-order tie-break, so pop order — and with it the evaluated set — is
+// deterministic.
 type lazyHeap struct {
-	items  []lazyItem
-	next   int32
-	maxLen int
+	items []lazyItem
+	next  int32
 }
 
 func (h *lazyHeap) reset() {
 	h.items = h.items[:0]
 	h.next = 0
-	h.maxLen = 0
 }
 
 func (h *lazyHeap) len() int { return len(h.items) }
@@ -669,9 +746,9 @@ func (h *lazyHeap) before(a, b lazyItem) bool {
 	return a.seq < b.seq
 }
 
-func (h *lazyHeap) push(prio float64, bucket int32, e *lazyEntry) {
-	h.add(prio, bucket, e)
-	h.noteMaxLen()
+func (h *lazyHeap) push(prio float64, e *lazyEntry) {
+	h.items = append(h.items, lazyItem{prio: prio, seq: h.next, entry: e})
+	h.next++
 	i := len(h.items) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -680,29 +757,6 @@ func (h *lazyHeap) push(prio float64, bucket int32, e *lazyEntry) {
 		}
 		h.items[i], h.items[p] = h.items[p], h.items[i]
 		i = p
-	}
-}
-
-// add appends an item without restoring heap order; the sentinel build
-// appends every bucket, then heapifies once in O(B). Pop order depends only
-// on the strict (prio desc, seq asc) order, never on the heap's shape.
-func (h *lazyHeap) add(prio float64, bucket int32, e *lazyEntry) {
-	h.items = append(h.items, lazyItem{prio: prio, seq: h.next, bucket: bucket, entry: e})
-	h.next++
-}
-
-// heapify restores heap order over all items (Floyd's bottom-up build).
-func (h *lazyHeap) heapify() {
-	h.noteMaxLen()
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// noteMaxLen records the heap's high-water mark for the heap-depth gauge.
-func (h *lazyHeap) noteMaxLen() {
-	if len(h.items) > h.maxLen {
-		h.maxLen = len(h.items)
 	}
 }
 
@@ -731,6 +785,124 @@ func (h *lazyHeap) down(i int) {
 			return
 		}
 		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
+}
+
+// sentinel is one bucket's node in the sentinel heap.
+type sentinel struct {
+	prio   float64
+	bucket int32
+}
+
+// sentinelHeap is the persistent indexed max-heap of bucket sentinels,
+// ordered by (prio desc, bucket asc): a strict order, so the pop sequence
+// depends only on the keys, never on the heap's shape or update history.
+// pos[b] is bucket b's slot, -1 when b has no sentinel, so any one bucket is
+// inserted, re-keyed or removed in O(log B).
+type sentinelHeap struct {
+	items []sentinel
+	pos   []int32
+}
+
+func newSentinelHeap(buckets int) sentinelHeap {
+	pos := make([]int32, buckets)
+	for b := range pos {
+		pos[b] = -1
+	}
+	return sentinelHeap{items: make([]sentinel, 0, buckets), pos: pos}
+}
+
+func (h *sentinelHeap) len() int { return len(h.items) }
+
+func (h *sentinelHeap) peekPrio() float64 { return h.items[0].prio }
+
+// set inserts bucket b at prio, or re-keys it if it is present.
+func (h *sentinelHeap) set(b int32, prio float64) {
+	i := int(h.pos[b])
+	if i < 0 {
+		i = len(h.items)
+		h.items = append(h.items, sentinel{prio: prio, bucket: b})
+		h.pos[b] = int32(i)
+		h.up(i)
+		return
+	}
+	h.items[i].prio = prio
+	h.fix(i)
+}
+
+// remove deletes bucket b's sentinel; a bucket without one is a no-op.
+func (h *sentinelHeap) remove(b int32) {
+	i := int(h.pos[b])
+	if i < 0 {
+		return
+	}
+	last := len(h.items) - 1
+	h.swap(i, last)
+	h.items = h.items[:last]
+	h.pos[b] = -1
+	if i < last {
+		h.fix(i)
+	}
+}
+
+// pop removes the top sentinel and returns its bucket.
+func (h *sentinelHeap) pop() int32 {
+	b := h.items[0].bucket
+	h.remove(b)
+	return b
+}
+
+func (h *sentinelHeap) before(i, j int) bool {
+	a, b := h.items[i], h.items[j]
+	if a.prio != b.prio {
+		return a.prio > b.prio
+	}
+	return a.bucket < b.bucket
+}
+
+func (h *sentinelHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i].bucket] = int32(i)
+	h.pos[h.items[j].bucket] = int32(j)
+}
+
+// fix restores heap order around slot i after its priority changed.
+func (h *sentinelHeap) fix(i int) {
+	if !h.up(i) {
+		h.down(i)
+	}
+}
+
+// up sifts slot i toward the root and reports whether it moved.
+func (h *sentinelHeap) up(i int) bool {
+	start := i
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(i, p) {
+			break
+		}
+		h.swap(i, p)
+		i = p
+	}
+	return i != start
+}
+
+// down sifts slot i toward the leaves until heap order holds below it.
+func (h *sentinelHeap) down(i int) {
+	n := len(h.items)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.before(r, c) {
+			c = r
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h.swap(i, c)
 		i = c
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -340,85 +341,111 @@ func byLeadMismatch(s *selector) string {
 	return ""
 }
 
-// TestByLeadMatchesSortedSel pins the per-lead selected lists the bucket
-// rebuild reads: byLead[b] must always be exactly the lead-b subsequence of
-// the canonically sorted selection. It checks after every applied and
-// dropped step of the lazy loop with pair steps on seeded workloads, of a
-// write-heavy workload that produces drop steps, and of the Reconfig sweep;
-// and after every add and remove of a seeded random sequence that stacks
-// many indexes on few leads in arbitrary order, which selection runs rarely
-// do.
-func TestByLeadMatchesSortedSel(t *testing.T) {
-	type tcase struct {
-		name     string
-		w        *workload.Workload
-		opts     Options
-		drop     bool // the run must record at least one drop step
-		reconfig bool // run the from-scratch sweep under a per-byte Reconfig
-	}
-	var cases []tcase
+// bookkeepingCase is one selection run the bookkeeping tests hook into.
+type bookkeepingCase struct {
+	name     string
+	w        *workload.Workload
+	opts     Options
+	drop     bool // the run must record at least one drop step
+	reconfig bool // run the from-scratch sweep under a per-byte Reconfig
+}
+
+// bookkeepingCases are lazy runs with pair steps on seeded workloads, with
+// drop steps on write-heavy workloads, under Approximate and under Explain,
+// and one Reconfig sweep.
+func bookkeepingCases(t *testing.T) []bookkeepingCase {
+	var cases []bookkeepingCase
 	for _, seed := range []int64{3, 11, 29} {
-		cases = append(cases, tcase{
+		cases = append(cases, bookkeepingCase{
 			name: fmt.Sprintf("pairs%d", seed),
 			w:    gen(t, 4, 12, 50, 80_000, seed),
 			opts: Options{PairSteps: true, PairLimit: 30, TrackSecondBest: true},
 		})
 	}
 	for _, seed := range []int64{15, 22} {
-		cases = append(cases, tcase{
+		cases = append(cases, bookkeepingCase{
 			name: fmt.Sprintf("writes%d", seed),
 			w:    writeGen(t, 0.3, seed),
 			opts: Options{DropUnused: true},
 			drop: true,
 		})
 	}
-	cases = append(cases, tcase{
-		name:     "reconfig",
-		w:        writeWorkload(19, 0.3),
-		opts:     Options{PairSteps: true, PairLimit: 30, DropUnused: true},
-		reconfig: true,
-	})
+	return append(cases,
+		bookkeepingCase{
+			name: "approximate",
+			w:    gen(t, 4, 12, 50, 80_000, 7),
+			opts: Options{Approximate: 0.2, TrackSecondBest: true},
+		},
+		bookkeepingCase{
+			name: "explain",
+			w:    writeGen(t, 0.3, 15),
+			opts: Options{Explain: true, DropUnused: true, TrackSecondBest: true},
+			drop: true,
+		},
+		bookkeepingCase{
+			name:     "reconfig",
+			w:        writeWorkload(19, 0.3),
+			opts:     Options{PairSteps: true, PairLimit: 30, DropUnused: true},
+			reconfig: true,
+		})
+}
 
-	for _, tc := range cases {
-		m := costmodel.New(tc.w, costmodel.SingleIndex)
-		opts := tc.opts
-		opts.Budget = m.Budget(0.5)
-		if tc.reconfig {
-			opts.Reconfig = perByteReconfig(tc.w, m, 0.05, opts.Budget)
+// runHooked runs tc at half the index budget with check installed in hook.
+// A broken invariant can make the run loop on stale state, so the first
+// mismatch fails the test and also stops the run at the next step
+// boundary. It returns the result and how often the hook fired.
+func runHooked(t *testing.T, tc bookkeepingCase, hook *func(*selector), check func(*selector) string) (*Result, int) {
+	t.Helper()
+	m := costmodel.New(tc.w, costmodel.SingleIndex)
+	opts := tc.opts
+	opts.Budget = m.Budget(0.5)
+	if tc.reconfig {
+		opts.Reconfig = perByteReconfig(tc.w, m, 0.05, opts.Budget)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts.Context = ctx
+	calls, failed := 0, false
+	*hook = func(s *selector) {
+		calls++
+		if msg := check(s); msg != "" && !failed {
+			failed = true
+			t.Errorf("%s: call %d: %s", tc.name, calls, msg)
+			cancel()
 		}
-		// A broken list can make the run extend stale indexes forever, so the
-		// first mismatch also stops the run at the next step boundary.
-		ctx, cancel := context.WithCancel(context.Background())
-		opts.Context = ctx
-		mutations, failed := 0, false
-		mutateHook = func(s *selector) {
-			mutations++
-			if msg := byLeadMismatch(s); msg != "" && !failed {
-				failed = true
-				t.Errorf("%s: mutation %d: %s", tc.name, mutations, msg)
-				cancel()
-			}
+	}
+	res, err := Select(tc.w, whatif.New(m), opts)
+	*hook = nil
+	if err != nil {
+		t.Fatalf("%s: %v", tc.name, err)
+	}
+	if failed {
+		t.FailNow()
+	}
+	drops := 0
+	for _, st := range res.Steps {
+		if st.Kind == StepDrop {
+			drops++
 		}
-		res, err := Select(tc.w, whatif.New(m), opts)
-		mutateHook = nil
-		cancel()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if failed {
-			t.FailNow()
-		}
+	}
+	if tc.drop && drops == 0 {
+		t.Fatalf("%s: no drop step recorded; the case no longer covers removals", tc.name)
+	}
+	return res, calls
+}
+
+// TestByLeadMatchesSortedSel pins the per-lead selected lists the bucket
+// rebuild reads: byLead[b] must always be exactly the lead-b subsequence of
+// the canonically sorted selection. It checks after every applied and
+// dropped step of the bookkeeping cases (the lazy loop and the Reconfig
+// sweep); and after every add and remove of a seeded random sequence that
+// stacks many indexes on few leads in arbitrary order, which selection runs
+// rarely do.
+func TestByLeadMatchesSortedSel(t *testing.T) {
+	for _, tc := range bookkeepingCases(t) {
+		res, mutations := runHooked(t, tc, &mutateHook, byLeadMismatch)
 		if mutations != len(res.Steps) || mutations == 0 {
 			t.Fatalf("%s: hook saw %d mutations for %d steps", tc.name, mutations, len(res.Steps))
-		}
-		drops := 0
-		for _, st := range res.Steps {
-			if st.Kind == StepDrop {
-				drops++
-			}
-		}
-		if tc.drop && drops == 0 {
-			t.Fatalf("%s: no drop step recorded; the case no longer covers removals", tc.name)
 		}
 	}
 
@@ -454,4 +481,190 @@ func TestByLeadMatchesSortedSel(t *testing.T) {
 			t.Fatalf("direct: op %d on %s: %s", op, k.Key(), msg)
 		}
 	}
+}
+
+// sentinelHeapMismatch reports the first broken invariant of h: every slot's
+// pos entry points back at it, every absent bucket's pos is -1, and every
+// node sorts no earlier than its parent under (prio desc, bucket asc).
+func sentinelHeapMismatch(h *sentinelHeap) string {
+	for i, it := range h.items {
+		if got := h.pos[it.bucket]; int(got) != i {
+			return fmt.Sprintf("bucket %d at slot %d has pos %d", it.bucket, i, got)
+		}
+		if i > 0 && h.before(i, (i-1)/2) {
+			return fmt.Sprintf("slot %d (bucket %d, prio %v) sorts before its parent (bucket %d, prio %v)",
+				i, it.bucket, it.prio, h.items[(i-1)/2].bucket, h.items[(i-1)/2].prio)
+		}
+	}
+	present := 0
+	for b, p := range h.pos {
+		if p >= 0 {
+			present++
+			if int(p) >= len(h.items) || h.items[p].bucket != int32(b) {
+				return fmt.Sprintf("bucket %d has dangling pos %d", b, p)
+			}
+		}
+	}
+	if present != len(h.items) {
+		return fmt.Sprintf("%d buckets have a pos, the heap holds %d", present, len(h.items))
+	}
+	return ""
+}
+
+// TestSentinelHeapMatchesSortedReference drives the indexed sentinel heap
+// through seeded random inserts, re-keys up and down, removes (of present
+// and absent buckets) and pops over a priority pool with ties and ±Inf, and
+// checks it against a map sorted by (prio desc, bucket asc): the invariants
+// after every operation, each pop against the reference's first element,
+// and at intervals the full drain order of a copy.
+func TestSentinelHeapMatchesSortedReference(t *testing.T) {
+	const buckets = 48
+	pool := []float64{math.Inf(-1), -1, 0, 0.5, 1, 1, 2, 3.25, math.Inf(1), math.Inf(1)}
+	for _, seed := range []int64{1, 2, 3, 4} {
+		rng := rand.New(rand.NewSource(seed))
+		h := newSentinelHeap(buckets)
+		ref := map[int32]float64{}
+		sorted := func() []int32 {
+			out := make([]int32, 0, len(ref))
+			for b := range ref {
+				out = append(out, b)
+			}
+			sort.Slice(out, func(i, j int) bool {
+				pi, pj := ref[out[i]], ref[out[j]]
+				if pi != pj {
+					return pi > pj
+				}
+				return out[i] < out[j]
+			})
+			return out
+		}
+		prio := func() float64 {
+			if rng.Intn(4) == 0 {
+				return rng.NormFloat64()
+			}
+			return pool[rng.Intn(len(pool))]
+		}
+		kinds := map[string]int{}
+		for op := 0; op < 4000; op++ {
+			b := int32(rng.Intn(buckets))
+			var what string
+			switch r := rng.Intn(10); {
+			case r < 5:
+				p := prio()
+				old, had := ref[b]
+				switch {
+				case !had:
+					what = "insert"
+				case p > old:
+					what = "rekey-up"
+				case p < old:
+					what = "rekey-down"
+				default:
+					what = "rekey-same"
+				}
+				h.set(b, p)
+				ref[b] = p
+			case r < 8:
+				if _, had := ref[b]; had {
+					what = "remove"
+				} else {
+					what = "remove-absent"
+				}
+				h.remove(b)
+				delete(ref, b)
+			default:
+				if len(ref) == 0 {
+					continue
+				}
+				what = "pop"
+				want := sorted()[0]
+				if gotPrio := h.peekPrio(); gotPrio != ref[want] {
+					t.Fatalf("seed %d op %d: peek prio %v, want %v", seed, op, gotPrio, ref[want])
+				}
+				if got := h.pop(); got != want {
+					t.Fatalf("seed %d op %d: pop gave bucket %d, want %d", seed, op, got, want)
+				}
+				delete(ref, want)
+			}
+			kinds[what]++
+			if msg := sentinelHeapMismatch(&h); msg != "" {
+				t.Fatalf("seed %d op %d (%s): %s", seed, op, what, msg)
+			}
+			if h.len() != len(ref) {
+				t.Fatalf("seed %d op %d (%s): heap holds %d, reference %d", seed, op, what, h.len(), len(ref))
+			}
+			if op%97 == 0 {
+				cp := sentinelHeap{
+					items: append([]sentinel(nil), h.items...),
+					pos:   append([]int32(nil), h.pos...),
+				}
+				for i, want := range sorted() {
+					if got := cp.pop(); got != want {
+						t.Fatalf("seed %d op %d: drain position %d gave bucket %d, want %d", seed, op, i, got, want)
+					}
+				}
+			}
+		}
+		for _, k := range []string{"insert", "rekey-up", "rekey-down", "rekey-same", "remove", "remove-absent", "pop"} {
+			if kinds[k] == 0 {
+				t.Fatalf("seed %d: no %s operation exercised", seed, k)
+			}
+		}
+	}
+}
+
+// TestSentinelHeapMatchesBuckets pins the persistent sentinel heap to a
+// from-scratch recomputation: at the start of every lazy step, after the
+// stale sentinels were re-keyed, the heap must hold exactly the non-empty
+// buckets, each at the priority its current state gives, and the running
+// candidate total must equal the entries over all buckets. It runs on the
+// lazy bookkeeping cases: seeded pair-step workloads, write workloads with
+// drop steps, an Approximate run and an Explain run.
+func TestSentinelHeapMatchesBuckets(t *testing.T) {
+	for _, tc := range bookkeepingCases(t) {
+		if tc.reconfig {
+			continue // the Reconfig sweep has no lazy state
+		}
+		res, calls := runHooked(t, tc, &sentinelHook, func(s *selector) string { return sentinelMismatch(s.lazy) })
+		if calls < 2 || len(res.Steps) == 0 {
+			t.Fatalf("%s: hook saw %d steps for a %d-step trace", tc.name, calls, len(res.Steps))
+		}
+	}
+}
+
+// sentinelMismatch compares the sentinel heap with the buckets it stands
+// for, returning "" when they agree.
+func sentinelMismatch(lz *lazyState) string {
+	if msg := sentinelHeapMismatch(&lz.sent); msg != "" {
+		return msg
+	}
+	if len(lz.dirtyList) != 0 || len(lz.staleList) != 0 {
+		return fmt.Sprintf("%d dirty and %d stale buckets left after the re-key", len(lz.dirtyList), len(lz.staleList))
+	}
+	nonEmpty, total := 0, 0
+	for b := range lz.buckets {
+		n := len(lz.buckets[b].entries)
+		total += n
+		p := lz.sent.pos[b]
+		if n == 0 {
+			if p >= 0 {
+				return fmt.Sprintf("empty bucket %d has a sentinel", b)
+			}
+			continue
+		}
+		nonEmpty++
+		if p < 0 {
+			return fmt.Sprintf("bucket %d with %d entries has no sentinel", b, n)
+		}
+		if got, want := lz.sent.items[p].prio, lz.sentinelPrio(b); got != want {
+			return fmt.Sprintf("bucket %d sentinel at %v, recomputed %v", b, got, want)
+		}
+	}
+	if lz.sent.len() != nonEmpty {
+		return fmt.Sprintf("heap holds %d sentinels for %d non-empty buckets", lz.sent.len(), nonEmpty)
+	}
+	if lz.candidates != total {
+		return fmt.Sprintf("running candidate total %d, buckets hold %d", lz.candidates, total)
+	}
+	return ""
 }

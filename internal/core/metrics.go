@@ -20,7 +20,7 @@ var (
 	mLazyEvalsSaved = telemetry.Default().Counter("indexsel_lazy_evals_saved_total",
 		"Candidate evaluations the lazy (CELF) loop skipped because their gain upper bound could not beat the step's winner.")
 	mLazyHeapDepth = telemetry.Default().Gauge("indexsel_lazy_heap_depth",
-		"Peak lazy-loop priority-queue depth of the most recent construction step.")
+		"Peak lazy-loop priority-queue depth of the most recent construction step: bucket sentinels not yet opened plus candidate entries pushed from opened buckets.")
 	mLazyApproxSteps = telemetry.Default().Counter("indexsel_lazy_approx_steps_total",
 		"Construction steps whose lazy loop stopped via the relaxed Options.Approximate cut (the decision may deviate from exact mode).")
 )

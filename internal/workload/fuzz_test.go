@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,4 +99,52 @@ func sign(x int) int {
 	default:
 		return 0
 	}
+}
+
+// FuzzUnmarshalWorkload: workload JSON is untrusted input (cmd tools read it
+// from files and stdin). Unmarshal must reject malformed documents with an
+// error rather than a panic, and every document it accepts must round-trip:
+// Marshal of the parsed workload, parsed and marshalled again, reproduces
+// the same bytes. Seeds are a marshalled TPC-C catalog and one document per
+// rejection path: a duplicate attribute name, an unknown query kind, a
+// query without attributes and a table with zero rows.
+func FuzzUnmarshalWorkload(f *testing.F) {
+	tpcc, err := Marshal(MustTPCC(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tpcc)
+	// doc is one table T with attributes a and second, and the given rows
+	// and queries.
+	doc := func(rows int, second, queries string) []byte {
+		return []byte(fmt.Sprintf(`{"tables":[{"name":"T","rows":%d,"attributes":[`+
+			`{"name":"a","distinct":4,"value_size":4},{"name":%q,"distinct":2,"value_size":8}]}],`+
+			`"queries":[%s]}`, rows, second, queries))
+	}
+	f.Add(doc(10, "b", `{"attributes":["a","b"],"frequency":3},{"attributes":["b"],"frequency":1,"kind":"update"}`))
+	f.Add(doc(10, "a", `{"attributes":["a"],"frequency":1}`))                 // duplicate attribute name
+	f.Add(doc(10, "b", `{"attributes":["a"],"frequency":1,"kind":"delete"}`)) // unknown query kind
+	f.Add(doc(10, "b", `{"attributes":[],"frequency":1}`))                    // query without attributes
+	f.Add(doc(0, "b", `{"attributes":["a"],"frequency":1}`))                  // zero rows
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		first, err := Marshal(w)
+		if err != nil {
+			t.Fatalf("accepted workload does not marshal: %v", err)
+		}
+		w2, err := Unmarshal(first)
+		if err != nil {
+			t.Fatalf("marshalled workload is rejected: %v\n%s", err, first)
+		}
+		second, err := Marshal(w2)
+		if err != nil {
+			t.Fatalf("re-parsed workload does not marshal: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the document:\n%s\nvs\n%s", first, second)
+		}
+	})
 }
