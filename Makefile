@@ -1,7 +1,8 @@
 # Developer entry points. `make bench-core` records the BenchmarkSelect
 # pair (the lazy step loop, serial and parallel) as results/BENCH_core.json;
 # `make bench-lp` records branch-and-bound node throughput (sparse
-# warm-started vs dense cold-start) as results/BENCH_lp.json; `make
+# warm-started vs dense cold-start) and one 16k-row root LP solve as
+# results/BENCH_lp.json; `make
 # bench-whatif` records the what-if hot-path microbenchmarks (cached/cold
 # probes, applicability checks, selection clones) as
 # results/BENCH_whatif.json and fails if the flat cached probe allocates.
@@ -10,7 +11,7 @@
 GO ?= go
 BENCH_COUNT ?= 3
 BENCH_PATTERN := ^BenchmarkSelect(Lazy|ParallelLazy)$$
-BENCH_LP_PATTERN := ^BenchmarkMIP(Sparse|Dense)$$
+BENCH_LP_PATTERN := ^Benchmark(MIP(Sparse|Dense)|RootLP)$$
 BENCH_FLEET_PATTERN := ^BenchmarkFleet(Sequential|Pooled|PooledShared|NearCloneTwin|NearCloneNearMatch|Unstreamed|Streamed|SpillRebuild|SpillRestore)$$
 BENCH_WHATIF_PATTERN := ^Benchmark(WhatifCachedProbe|WhatifColdProbe|Applicable|SelectionClone)_
 # Allocation ceilings for the what-if hot path: the flat cached probe must

@@ -108,6 +108,11 @@ type Stats struct {
 	WhatIfCalls int64
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
+	// SimplexIters and Refactorizations are the explicit-LP path's simplex
+	// iterations and basis refactorizations across all node LPs (zero on
+	// the combinatorial path). Together with Nodes they fingerprint the
+	// solver's pivot sequence.
+	SimplexIters, Refactorizations int
 	// Elapsed is the wall-clock solve time (excluding what-if calls).
 	Elapsed time.Duration
 	// Gap is the final relative optimality gap.
@@ -211,7 +216,7 @@ func Solve(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, 
 		if directCap == 0 {
 			directCap = 40_000
 		}
-		chosen, cost, nodes, gap, dnf, serr = ins.solveLP(opts.Budget, opts.Gap, stop, opts.Parallelism, directCap, ssp)
+		chosen, cost, nodes, gap, dnf, serr = ins.solveLP(opts.Budget, opts.Gap, stop, opts.Parallelism, directCap, ssp, &stats)
 	} else {
 		chosen, cost, nodes, gap, dnf = ins.solveCombinatorial(opts.Budget, opts.Gap, stop)
 	}
@@ -478,10 +483,10 @@ func (ins *instance) reduceDominated() {
 // right-hand side, the all-slack basis is primal feasible at the "no
 // indexes" vertex and the primal simplex descends directly — no equality
 // phase-1 work on the 100k-row instances of Table I.
-func (ins *instance) solveLP(budget int64, gap float64, stop *fault.Stopper, parallelism int, directCap int, span *telemetry.Span) (chosen []int, cost float64, nodes int, finalGap float64, dnf bool, err error) {
+func (ins *instance) solveLP(budget int64, gap float64, stop *fault.Stopper, parallelism int, directCap int, span *telemetry.Span, stats *Stats) (chosen []int, cost float64, nodes int, finalGap float64, dnf bool, err error) {
 	gChosen, gCost := ins.greedy(budget)
 	if ins.lpVars() > directCap {
-		return ins.solveLPSifted(gChosen, gCost, budget, gap, stop, parallelism, span)
+		return ins.solveLPSifted(gChosen, gCost, budget, gap, stop, parallelism, span, stats)
 	}
 
 	m := lp.NewModel()
@@ -558,6 +563,7 @@ func (ins *instance) solveLP(budget int64, gap float64, stop *fault.Stopper, par
 	if err != nil {
 		return nil, 0, 0, 0, false, err
 	}
+	stats.SimplexIters, stats.Refactorizations = res.SimplexIters, res.Refactorizations
 	if ins.prov != nil && res.RootDuals != nil {
 		ins.prov.RootObjective = res.RootObjective + baseSum
 		if d := -res.RootDuals[budgetRow]; d > 0 {

@@ -244,7 +244,7 @@ func (ins *instance) lagrangeBound(vv []float64, lam float64, budget int64) floa
 
 // solveLPSifted is the large-model explicit-LP path: restrict, solve the
 // restricted MIP from the greedy incumbent, certify against the full model.
-func (ins *instance) solveLPSifted(gChosen []int, gCost float64, budget int64, gap float64, stop *fault.Stopper, parallelism int, span *telemetry.Span) (chosen []int, cost float64, nodes int, finalGap float64, dnf bool, err error) {
+func (ins *instance) solveLPSifted(gChosen []int, gCost float64, budget int64, gap float64, stop *fault.Stopper, parallelism int, span *telemetry.Span, stats *Stats) (chosen []int, cost float64, nodes int, finalGap float64, dnf bool, err error) {
 	var baseSum float64
 	for j := range ins.base {
 		baseSum += ins.freq[j] * ins.base[j]
@@ -388,6 +388,7 @@ func (ins *instance) solveLPSifted(gChosen []int, gCost float64, budget int64, g
 		ssp.Discard()
 		return nil, 0, 0, 0, false, err
 	}
+	stats.SimplexIters, stats.Refactorizations = res.SimplexIters, res.Refactorizations
 
 	chosen, cost = gChosen, gCost
 	if res.Status == lp.Optimal && len(res.X) > 0 {

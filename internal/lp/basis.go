@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Variable states of the bounded revised simplex.
 const (
@@ -15,13 +12,17 @@ const (
 // etaFile is a product-form representation of the basis inverse:
 // B⁻¹ = E_K ··· E_1, each eta an elementary column transformation recorded
 // at a pivot. FTRAN applies etas forward, BTRAN backward. The file is reset
-// at each refactorization.
+// at each refactorization. Its first nFactor etas are the factor segment
+// refactorize emits, each pivoting on a distinct row; the update etas the
+// simplex pivots append after it (at most refactorEvery) may pivot on any
+// row.
 type etaFile struct {
-	pivRow []int32
-	pivVal []float64
-	start  []int32 // eta k owns entries [start[k], start[k+1])
-	rows   []int32
-	vals   []float64
+	pivRow  []int32
+	pivVal  []float64
+	start   []int32 // eta k owns entries [start[k], start[k+1])
+	rows    []int32
+	vals    []float64
+	nFactor int
 }
 
 func (e *etaFile) reset() {
@@ -33,6 +34,7 @@ func (e *etaFile) reset() {
 		e.start = append(e.start, 0)
 	}
 	e.start = e.start[:1]
+	e.nFactor = 0
 }
 
 func (e *etaFile) count() int { return len(e.pivRow) }
@@ -67,6 +69,14 @@ type sparseSolver struct {
 
 	etas etaFile
 
+	// Hypersparse FTRAN/BTRAN over the factor segment (see ftranFactor).
+	ofRow   []int32 // row → factor eta pivoting on it, -1 if none
+	readPtr []int32 // row r's readers are readEta[readPtr[r]:readPtr[r+1]]
+	readEta []int32 // factor etas with an entry in the row, ascending
+	queued  []bool  // per factor eta: activated and waiting on etaQ
+	etaQ    etaHeap
+	solves  solveCounts
+
 	// Dense scratch with explicit support tracking.
 	colV      []float64 // length m: FTRAN column
 	colMark   []bool
@@ -85,6 +95,7 @@ type sparseSolver struct {
 	priceScores []float64 // scratch: scores aligned with priceList at refresh
 
 	refactOrder []int32 // scratch: structural basics in sparsity order
+	nnzAt       []int32 // scratch: counting-sort offsets by column nonzeros
 	basicCols   []int32 // scratch: snapshot of the basic set
 	pendingCol  []bool  // scratch: structural columns awaiting a pivot row
 	rowCnt      []int32 // scratch: pending-column count per unclaimed row
@@ -110,26 +121,35 @@ const (
 
 func newSparseSolver(p *prob) *sparseSolver {
 	N := p.n + p.m
+	maxColNNZ := int32(0)
+	for j := int32(0); int(j) < p.n; j++ {
+		maxColNNZ = max(maxColNNZ, p.colNNZ(j))
+	}
 	return &sparseSolver{
-		p:          p,
-		lo:         make([]float64, N),
-		up:         make([]float64, N),
-		basic:      make([]int32, p.m),
-		state:      make([]int8, N),
-		pos:        make([]int32, N),
-		xB:         make([]float64, p.m),
-		d:          make([]float64, N),
-		colV:       make([]float64, p.m),
-		colMark:    make([]bool, p.m),
-		rhoV:       make([]float64, p.m),
-		rhoMark:    make([]bool, p.m),
-		alpha:      make([]float64, N),
-		alphaMark:  make([]bool, N),
-		inInfeas:   make([]bool, p.m),
-		pendingCol: make([]bool, p.n),
-		rowCnt:     make([]int32, p.m),
-		feasTol:    1e-7,
-		dualTol:    1e-7 * p.cScale,
+		p:           p,
+		lo:          make([]float64, N),
+		up:          make([]float64, N),
+		basic:       make([]int32, p.m),
+		state:       make([]int8, N),
+		pos:         make([]int32, N),
+		xB:          make([]float64, p.m),
+		d:           make([]float64, N),
+		colV:        make([]float64, p.m),
+		colMark:     make([]bool, p.m),
+		rhoV:        make([]float64, p.m),
+		rhoMark:     make([]bool, p.m),
+		alpha:       make([]float64, N),
+		alphaMark:   make([]bool, N),
+		inInfeas:    make([]bool, p.m),
+		pendingCol:  make([]bool, p.n),
+		refactOrder: make([]int32, 0, p.m),
+		nnzAt:       make([]int32, maxColNNZ+2),
+		rowCnt:      make([]int32, p.m),
+		ofRow:       make([]int32, p.m),
+		readPtr:     make([]int32, p.m+1),
+		queued:      make([]bool, p.m),
+		feasTol:     1e-7,
+		dualTol:     1e-7 * p.cScale,
 	}
 }
 
@@ -282,50 +302,258 @@ func (s *sparseSolver) clearColumn() {
 	s.colTch = s.colTch[:0]
 }
 
-// ftranCol applies the eta file to colV in place (v ← B⁻¹ v), maintaining
-// the touched support. Etas whose pivot entry is zero are skipped, which is
-// the dominant case for the short columns of VUB-structured models.
-func (s *sparseSolver) ftranCol() {
-	e := &s.etas
-	for k := 0; k < len(e.pivRow); k++ {
-		r := e.pivRow[k]
-		vr := s.colV[r]
-		if vr == 0 {
-			continue
-		}
-		vr /= e.pivVal[k]
-		s.colV[r] = vr
-		for idx := e.start[k]; idx < e.start[k+1]; idx++ {
-			i := e.rows[idx]
-			if !s.colMark[i] {
-				s.colMark[i] = true
-				s.colTch = append(s.colTch, i)
-			}
-			s.colV[i] -= e.vals[idx] * vr
-		}
+// denseShare is the hypersparsity switch: a factor-segment solve that has
+// activated more than 1/denseShare of the factor etas is no longer sparse
+// enough for the heap to pay, and finishes with the linear pass.
+const denseShare = 10
+
+// solveCounts tallies how the factor segment was traversed: hyper solves
+// visited only the etas the vector reaches, dense ones fell back to the
+// linear pass part way.
+type solveCounts struct {
+	ftranHyper, ftranDense int
+	btranHyper, btranDense int
+}
+
+func (c solveCounts) add(o solveCounts) solveCounts {
+	return solveCounts{
+		c.ftranHyper + o.ftranHyper, c.ftranDense + o.ftranDense,
+		c.btranHyper + o.btranHyper, c.btranDense + o.btranDense,
 	}
 }
 
-// btranRow computes rhoV ← (eᵣ)ᵀ B⁻¹ with support tracking.
+// etaHeap is a binary min-heap of eta indices. BTRAN pushes ^k, so it pops
+// in descending k.
+type etaHeap []int32
+
+func (h *etaHeap) push(k int32) {
+	q := append(*h, k)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if q[up] <= k {
+			break
+		}
+		q[i] = q[up]
+		i = up
+	}
+	q[i] = k
+	*h = q
+}
+
+func (h *etaHeap) pop() int32 {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1] < q[c] {
+			c++
+		}
+		if last <= q[c] {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q[:n]
+	return top
+}
+
+// abandonQueue clears the activation marks of the etas still queued when a
+// solve falls back to the linear pass. BTRAN's entries are complemented.
+func (s *sparseSolver) abandonQueue() {
+	for _, k := range s.etaQ {
+		if k < 0 {
+			k = ^k
+		}
+		s.queued[k] = false
+	}
+	s.etaQ = s.etaQ[:0]
+}
+
+// ftranEta applies eta k to colV, reporting false when it is skipped
+// because its pivot entry is zero.
+func (s *sparseSolver) ftranEta(k int) bool {
+	e := &s.etas
+	r := e.pivRow[k]
+	vr := s.colV[r]
+	if vr == 0 {
+		return false
+	}
+	vr /= e.pivVal[k]
+	s.colV[r] = vr
+	for idx := e.start[k]; idx < e.start[k+1]; idx++ {
+		i := e.rows[idx]
+		if !s.colMark[i] {
+			s.colMark[i] = true
+			s.colTch = append(s.colTch, i)
+		}
+		s.colV[i] -= e.vals[idx] * vr
+	}
+	return true
+}
+
+// ftranCol applies the eta file to colV in place (v ← B⁻¹ v), maintaining
+// the touched support. Etas whose pivot entry is zero are skipped, which is
+// the dominant case for the short columns of VUB-structured models; the
+// factor segment is traversed hypersparsely (ftranFactor), the update
+// segment linearly.
+func (s *sparseSolver) ftranCol() {
+	for k := s.ftranFactor(); k < s.etas.count(); k++ {
+		s.ftranEta(k)
+	}
+}
+
+// ftranFactor applies the factor segment to colV, visiting only the etas
+// the vector can reach (Gilbert–Peierls; Hall and McKinnon's hypersparse
+// FTRAN). Factor eta ofRow[r] is reachable once row r is nonzero, which
+// happens only through the initial support or an earlier eta's entries, so
+// popping reachable etas in ascending order applies exactly the etas the
+// linear pass would not skip, in the same order: every value and the order
+// of colTch match it bit for bit. It returns the eta the linear pass
+// resumes from: nFactor, or the eta after the one that tripped the dense
+// fallback.
+func (s *sparseSolver) ftranFactor() int {
+	e := &s.etas
+	limit := e.nFactor / denseShare
+	activated := 0
+	for _, r := range s.colTch {
+		if k := s.ofRow[r]; k >= 0 && !s.queued[k] {
+			s.queued[k] = true
+			s.etaQ.push(k)
+			activated++
+		}
+	}
+	if activated > limit {
+		s.abandonQueue()
+		s.solves.ftranDense++
+		return 0
+	}
+	for len(s.etaQ) > 0 {
+		k := s.etaQ.pop()
+		s.queued[k] = false
+		if !s.ftranEta(int(k)) {
+			continue
+		}
+		for idx := e.start[k]; idx < e.start[k+1]; idx++ {
+			if j := s.ofRow[e.rows[idx]]; j > k && !s.queued[j] {
+				s.queued[j] = true
+				s.etaQ.push(j)
+				activated++
+			}
+		}
+		if activated > limit {
+			s.abandonQueue()
+			s.solves.ftranDense++
+			return int(k) + 1
+		}
+	}
+	s.solves.ftranHyper++
+	return e.nFactor
+}
+
+// btranEta applies transposed eta k to rhoV and reports the new value of
+// its pivot row.
+func (s *sparseSolver) btranEta(k int) float64 {
+	e := &s.etas
+	pr := e.pivRow[k]
+	acc := s.rhoV[pr]
+	for idx := e.start[k]; idx < e.start[k+1]; idx++ {
+		acc -= e.vals[idx] * s.rhoV[e.rows[idx]]
+	}
+	acc /= e.pivVal[k]
+	if acc != 0 && !s.rhoMark[pr] {
+		s.rhoMark[pr] = true
+		s.rhoTch = append(s.rhoTch, pr)
+	}
+	s.rhoV[pr] = acc
+	return acc
+}
+
+// btranRow computes rhoV ← (eᵣ)ᵀ B⁻¹ with support tracking: the update
+// segment linearly, then the factor segment hypersparsely (btranFactor).
 func (s *sparseSolver) btranRow(r int32) {
 	s.rhoTch = s.rhoTch[:0]
 	s.rhoV[r] = 1
 	s.rhoMark[r] = true
 	s.rhoTch = append(s.rhoTch, r)
-	e := &s.etas
-	for k := len(e.pivRow) - 1; k >= 0; k-- {
-		pr := e.pivRow[k]
-		acc := s.rhoV[pr]
-		for idx := e.start[k]; idx < e.start[k+1]; idx++ {
-			acc -= e.vals[idx] * s.rhoV[e.rows[idx]]
-		}
-		acc /= e.pivVal[k]
-		if acc != 0 && !s.rhoMark[pr] {
-			s.rhoMark[pr] = true
-			s.rhoTch = append(s.rhoTch, pr)
-		}
-		s.rhoV[pr] = acc
+	for k := s.etas.count() - 1; k >= s.etas.nFactor; k-- {
+		s.btranEta(k)
 	}
+	for k := s.btranFactor(); k >= 0; k-- {
+		s.btranEta(k)
+	}
+}
+
+// activateReaders queues, among the factor etas before eta below, the one
+// pivoting on row i and every one with an entry in row i. It returns how
+// many it newly queued.
+func (s *sparseSolver) activateReaders(i, below int32) int {
+	n := 0
+	if k := s.ofRow[i]; k >= 0 && k < below && !s.queued[k] {
+		s.queued[k] = true
+		s.etaQ.push(^k)
+		n++
+	}
+	for _, k := range s.readEta[s.readPtr[i]:s.readPtr[i+1]] {
+		if k >= below {
+			break
+		}
+		if !s.queued[k] {
+			s.queued[k] = true
+			s.etaQ.push(^k)
+			n++
+		}
+	}
+	return n
+}
+
+// btranFactor applies the transposed factor segment to rhoV, visiting only
+// the etas whose result can be nonzero, in descending order. Eta k reads
+// its pivot row and its entry rows; each row is written by no factor eta
+// but ofRow[row], so k can be nonzero only if one of those rows is in the
+// support after the update segment, or was turned nonzero by a later
+// factor eta. Skipped etas would have written a zero, so every nonzero
+// value and the order of rhoTch match the linear pass bit for bit (a
+// skipped eta leaves a zero's sign unwritten). It returns the eta the
+// linear pass resumes from, descending: -1, or the eta below the one that
+// tripped the dense fallback.
+func (s *sparseSolver) btranFactor() int {
+	e := &s.etas
+	F := int32(e.nFactor)
+	limit := e.nFactor / denseShare
+	activated := 0
+	for _, i := range s.rhoTch {
+		activated += s.activateReaders(i, F)
+	}
+	if activated > limit {
+		s.abandonQueue()
+		s.solves.btranDense++
+		return e.nFactor - 1
+	}
+	for len(s.etaQ) > 0 {
+		k := ^s.etaQ.pop()
+		s.queued[k] = false
+		if s.btranEta(int(k)) != 0 {
+			activated += s.activateReaders(e.pivRow[k], k)
+		}
+		if activated > limit {
+			s.abandonQueue()
+			s.solves.btranDense++
+			return int(k) - 1
+		}
+	}
+	s.solves.btranHyper++
+	return -1
 }
 
 func (s *sparseSolver) clearRho() {
@@ -394,6 +622,9 @@ func (s *sparseSolver) refactorize() bool {
 	for j := range s.pos {
 		s.pos[j] = -1
 	}
+	for i := range s.ofRow {
+		s.ofRow[i] = -1
+	}
 	claimed := s.rhoMark // reuse as row-claim flags; cleared below
 	for i := range claimed {
 		claimed[i] = false
@@ -402,7 +633,6 @@ func (s *sparseSolver) refactorize() bool {
 	// in place, and a logical column claiming its own row may overwrite an
 	// entry that has not been visited yet.
 	s.basicCols = append(s.basicCols[:0], s.basic...)
-	s.refactOrder = s.refactOrder[:0]
 	for _, col := range s.basicCols {
 		if int(col) >= p.n {
 			row := col - int32(p.n)
@@ -410,18 +640,10 @@ func (s *sparseSolver) refactorize() bool {
 			s.basic[row] = col // logical owns its row
 			s.pos[col] = row
 		} else {
-			s.refactOrder = append(s.refactOrder, col)
 			s.pendingCol[col] = true
 		}
 	}
-	sort.Slice(s.refactOrder, func(a, b int) bool {
-		ca, cb := s.refactOrder[a], s.refactOrder[b]
-		na, nb := p.colNNZ(ca), p.colNNZ(cb)
-		if na != nb {
-			return na < nb
-		}
-		return ca < cb
-	})
+	s.sparsityOrder()
 
 	// Stage 1: peel singleton rows.
 	for i := range s.rowCnt {
@@ -477,6 +699,7 @@ func (s *sparseSolver) refactorize() bool {
 		e.pivRow = append(e.pivRow, r)
 		e.pivVal = append(e.pivVal, pv)
 		e.start = append(e.start, int32(len(e.rows)))
+		s.noteFactorEta()
 		claimed[r] = true
 		s.basic[r] = col
 		s.pos[col] = r
@@ -515,6 +738,7 @@ func (s *sparseSolver) refactorize() bool {
 			break
 		}
 		s.etas.push(s.colV, s.colTch, best)
+		s.noteFactorEta()
 		claimed[best] = true
 		s.basic[best] = col
 		s.pos[col] = best
@@ -530,10 +754,76 @@ func (s *sparseSolver) refactorize() bool {
 	if !ok {
 		return false
 	}
+	s.buildReaders()
 
 	s.recomputePrimal()
 	s.recomputeDuals(p.c)
 	return true
+}
+
+// sparsityOrder lists the pending structural columns in refactOrder by
+// (nonzeros, index) ascending: a counting sort by nonzeros over a scan of
+// the columns in index order.
+func (s *sparseSolver) sparsityOrder() {
+	p := s.p
+	at := s.nnzAt
+	for i := range at {
+		at[i] = 0
+	}
+	for j := int32(0); int(j) < p.n; j++ {
+		if s.pendingCol[j] {
+			at[p.colNNZ(j)+1]++
+		}
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	s.refactOrder = s.refactOrder[:at[len(at)-1]]
+	for j := int32(0); int(j) < p.n; j++ {
+		if s.pendingCol[j] {
+			n := p.colNNZ(j)
+			s.refactOrder[at[n]] = j
+			at[n]++
+		}
+	}
+}
+
+// noteFactorEta adds the eta just pushed to the factor segment.
+func (s *sparseSolver) noteFactorEta() {
+	e := &s.etas
+	k := e.count() - 1
+	s.ofRow[e.pivRow[k]] = int32(k)
+	e.nFactor = k + 1
+}
+
+// buildReaders indexes the factor segment by row: readEta lists, per row,
+// the factor etas holding an entry in it, ascending. The buffers are kept
+// across refactorizations and grow amortized.
+func (s *sparseSolver) buildReaders() {
+	e := &s.etas
+	ptr := s.readPtr
+	for i := range ptr {
+		ptr[i] = 0
+	}
+	nnz := e.start[e.nFactor]
+	for _, i := range e.rows[:nnz] {
+		ptr[i+1]++
+	}
+	for i := 1; i < len(ptr); i++ {
+		ptr[i] += ptr[i-1]
+	}
+	if cap(s.readEta) < int(nnz) {
+		s.readEta = make([]int32, nnz, nnz+nnz/2)
+	}
+	s.readEta = s.readEta[:nnz]
+	next := s.rowCnt // scratch: per-row fill cursor
+	copy(next, ptr[:len(next)])
+	for k := 0; k < e.nFactor; k++ {
+		for _, i := range e.rows[e.start[k]:e.start[k+1]] {
+			s.readEta[next[i]] = int32(k)
+			next[i]++
+		}
+	}
 }
 
 // recomputePrimal sets xB = B⁻¹(b − N x_N) from scratch.

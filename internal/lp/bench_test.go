@@ -82,3 +82,26 @@ func BenchmarkMIPDense(b *testing.B) {
 		return denseSolveMIP(m, MIPOptions{})
 	})
 }
+
+// BenchmarkRootLP times one root LP solve, SolveLP's path, on a 16k-row
+// CoPhy-shaped model. The slack start is dual feasible, so the dual simplex
+// does most of the work and its BTRANs are dense: the control for the
+// hypersparse FTRAN/BTRAN, whose fallback to the linear pass must keep it
+// from slowing down here.
+func BenchmarkRootLP(b *testing.B) {
+	m := benchCoPhyModel(2000, 1000, 7)
+	b.ResetTimer()
+	iters, refacts := 0, 0
+	for i := 0; i < b.N; i++ {
+		s := newSparseSolver(compile(m))
+		s.reset(nil, nil)
+		sol := s.solve(time.Time{})
+		if sol.Status != Optimal {
+			b.Fatalf("status %v, want optimal", sol.Status)
+		}
+		iters += sol.Iterations
+		refacts += s.refacts
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+	b.ReportMetric(float64(refacts)/float64(b.N), "refactors/op")
+}

@@ -4,6 +4,13 @@
 // iterations), and a warm-started parallel branch-and-bound mixed-integer
 // layer with optimality-gap and deadline control.
 //
+// The eta file's factor segment, the etas a refactorization emits, is
+// solved hypersparsely: FTRAN and BTRAN visit only the etas the vector can
+// reach, in the linear replay's order, so every value they produce is bit
+// for bit the linear pass's; a solve that reaches more than a tenth of the
+// factor etas finishes linearly. The update etas the pivots append are
+// replayed linearly.
+//
 // It is the stand-in for the commercial solver (CPLEX via NEOS) that the
 // paper uses to run CoPhy's integer linear program (5)-(8). Child nodes of
 // the branch-and-bound re-solve from the parent basis via dual simplex

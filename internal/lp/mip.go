@@ -520,6 +520,14 @@ search:
 	span.SetInt("nodes_pruned", int64(res.NodesPruned))
 	span.SetInt("simplex_iters", int64(res.SimplexIters))
 	span.SetInt("refactorizations", int64(res.Refactorizations))
+	var solves solveCounts
+	for _, s := range solvers {
+		solves = solves.add(s.solves)
+	}
+	span.SetInt("ftran_hyper", int64(solves.ftranHyper))
+	span.SetInt("ftran_dense", int64(solves.ftranDense))
+	span.SetInt("btran_hyper", int64(solves.btranHyper))
+	span.SetInt("btran_dense", int64(solves.btranDense))
 	span.SetInt("warm_start_hits", int64(res.WarmStartHits))
 	span.SetBool("dnf", res.DNF)
 	span.End()

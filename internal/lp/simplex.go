@@ -159,21 +159,39 @@ func (s *sparseSolver) priceFromList() (int32, float64) {
 
 // refreshPriceList rebuilds the shortlist from a full scan, keeping the
 // priceCap best columns (ties to the lower index, keeping the scan
-// deterministic).
+// deterministic). Up to priceCap attractive columns stay in index order;
+// past that a bounded heap holds the best priceCap seen so far, and only
+// those are sorted.
 func (s *sparseSolver) refreshPriceList() {
 	N := int32(s.p.n + s.p.m)
-	s.priceList = s.priceList[:0]
-	s.priceScores = s.priceScores[:0]
+	ps := priceSorter{s.priceList[:0], s.priceScores[:0]}
+	full := false
 	for j := int32(0); j < N; j++ {
-		if sc := s.priceScore(j); sc > s.dualTol {
-			s.priceList = append(s.priceList, j)
-			s.priceScores = append(s.priceScores, sc)
+		sc := s.priceScore(j)
+		if sc <= s.dualTol {
+			continue
+		}
+		if len(ps.list) < priceCap {
+			ps.list = append(ps.list, j)
+			ps.score = append(ps.score, sc)
+			continue
+		}
+		if !full {
+			for i := priceCap/2 - 1; i >= 0; i-- {
+				ps.siftWorst(i)
+			}
+			full = true
+		}
+		// The scan is in index order, so a tie with the root loses.
+		if sc > ps.score[0] {
+			ps.list[0], ps.score[0] = j, sc
+			ps.siftWorst(0)
 		}
 	}
-	if len(s.priceList) > priceCap {
-		sort.Sort(priceSorter{s.priceList, s.priceScores})
-		s.priceList = s.priceList[:priceCap]
+	if full {
+		sort.Sort(ps)
 	}
+	s.priceList, s.priceScores = ps.list, ps.score
 }
 
 // priceSorter orders shortlist candidates by descending score, ties to the
@@ -193,6 +211,26 @@ func (p priceSorter) Less(a, b int) bool {
 func (p priceSorter) Swap(a, b int) {
 	p.list[a], p.list[b] = p.list[b], p.list[a]
 	p.score[a], p.score[b] = p.score[b], p.score[a]
+}
+
+// siftWorst restores, below node i, the heap order whose root is the least
+// attractive candidate.
+func (p priceSorter) siftWorst(i int) {
+	n := p.Len()
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && p.Less(c, c+1) {
+			c++
+		}
+		if !p.Less(i, c) {
+			return
+		}
+		p.Swap(i, c)
+		i = c
+	}
 }
 
 // primal runs bounded primal simplex iterations (partial Dantzig pricing on
