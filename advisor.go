@@ -262,7 +262,7 @@ type Recommendation struct {
 	Evaluated, CacheServed int
 	// Pruned totals the candidates the lazy (CELF) loop skipped because their
 	// gain upper bound could not beat the step winner (StrategyExtend only;
-	// zero on the eager and multi-index paths).
+	// zero on the multi-index path).
 	Pruned int
 	// Approximate echoes the lazy loop's relative relaxation eps
 	// (WithApproximate); 0 means the provably exact default.

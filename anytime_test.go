@@ -32,19 +32,20 @@ func (s *cancelAfterSource) CostWithIndex(q Query, k Index) float64 {
 // TestAnytimePrefixBitIdentity is the anytime acceptance property: an Extend
 // run interrupted mid-construction returns, at the same Parallelism, a
 // bit-identical PREFIX of the unbounded run's step trace — the in-flight step
-// is discarded, never applied from partially evaluated candidates. Both step
-// loops are pinned: the lazy (CELF) default, whose in-flight batches must be
-// discarded without corrupting its persistent bound state, and the
-// from-scratch sweep that a (here zero-cost) Reconfig selects.
+// is discarded, never applied from partially evaluated candidates. The lazy
+// (CELF) loop's in-flight batches must be discarded without corrupting its
+// persistent bound state, both free of reconfiguration and under a per-byte
+// Reconfig cost.
 func TestAnytimePrefixBitIdentity(t *testing.T) {
 	w := smallWorkload(t)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	budget := m.Budget(0.5)
+	perByte := 0.01 * m.TotalCost(Selection{}) / float64(budget)
 
 	for _, mode := range []struct {
 		name     string
-		reconfig func(Selection) float64
-	}{{"lazy", nil}, {"sweep", func(Selection) float64 { return 0 }}} {
+		reconfig core.Reconfig
+	}{{"lazy", core.Reconfig{}}, {"reconfig", core.Reconfig{CreatePerByte: perByte}}} {
 		full, err := core.Select(w, whatif.New(m), core.Options{
 			Budget: budget, Parallelism: 4, Reconfig: mode.reconfig,
 		})

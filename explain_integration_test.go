@@ -95,20 +95,19 @@ func TestExplainEndToEnd(t *testing.T) {
 	}
 }
 
-// The acceptance bar for runcompare: the lazy loop and the eager
-// from-scratch sweep (selected by a zero-cost Reconfig, which changes no
-// gain) reach the same frontier through different amounts of work, so
-// their diff must report zero divergence with differing prune ledgers.
+// The acceptance bar for runcompare: two runs that reach the same frontier
+// through different amounts of work must diff with zero divergence and
+// differing prune ledgers. The second run charges a steep Reconfig cost for
+// every index outside the first run's trace: every step it takes is free, so
+// no decision changes, but the charged candidates' bounds sink and the lazy
+// loop prunes them instead of evaluating them.
 func TestExplainLazyVsEagerDiff(t *testing.T) {
 	w, err := TPCCWorkload(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := func(sweep bool) (*Recommendation, *ExplainedRun) {
-		var opts core.Options
-		if sweep {
-			opts.Reconfig = func(Selection) float64 { return 0 }
-		}
+	record := func(recon core.Reconfig) (*Recommendation, *ExplainedRun) {
+		opts := core.Options{Reconfig: recon}
 		var journal bytes.Buffer
 		tel := &Telemetry{Tracer: NewTracer(4096, &journal)}
 		adv := NewAdvisor(w, WithBudgetShare(0.3), WithExplain(), WithTelemetry(tel),
@@ -123,18 +122,26 @@ func TestExplainLazyVsEagerDiff(t *testing.T) {
 		}
 		return rec, run
 	}
-	lazyRec, lazyRun := record(false)
-	sweepRec, sweepRun := record(true)
+	lazyRec, lazyRun := record(core.Reconfig{})
+	trace := Selection{}
+	for _, st := range lazyRec.Steps {
+		trace.Add(st.Index)
+		if st.Replaced != nil {
+			trace.Add(*st.Replaced)
+		}
+	}
+	reconRec, reconRun := record(core.Reconfig{Deployed: trace, CreatePerByte: 1e12})
 
-	d := explain.DiffRuns(lazyRun, sweepRun)
+	d := explain.DiffRuns(lazyRun, reconRun)
 	if d.FirstDivergence != nil {
-		t.Fatalf("lazy and sweep runs diverged: %+v", d.FirstDivergence)
+		t.Fatalf("lazy and reconfig runs diverged: %+v", d.FirstDivergence)
 	}
 	if !d.FrontierEqual {
-		t.Fatal("lazy and sweep frontiers differ")
+		t.Fatal("lazy and reconfig frontiers differ")
 	}
-	if sweepRec.Pruned != 0 {
-		t.Fatalf("from-scratch sweep pruned %d candidates", sweepRec.Pruned)
+	if reconRec.Evaluated > lazyRec.Evaluated {
+		t.Fatalf("reconfig run evaluated %d candidates, the free run only %d",
+			reconRec.Evaluated, lazyRec.Evaluated)
 	}
 	if lazyRec.Pruned > 0 && !d.LedgerDiffers {
 		t.Errorf("lazy run pruned %d candidates but the diff saw equal ledgers", lazyRec.Pruned)

@@ -22,11 +22,11 @@
 // cost/maintenance caches are flat tables indexed by ID — the inner loop does
 // no string construction or map hashing.
 //
-// Two step loops decide each step, chosen by the input rather than a knob:
-// the lazy (CELF) loop of lazy.go, and — when Options.Reconfig couples every
-// gain to the whole selection — the from-scratch sweep of collect, which
-// re-evaluates every candidate at every step. Both produce the trace of the
-// independent test oracle (oracle_test.go) bit for bit.
+// One step loop decides each step: the lazy (CELF) loop of lazy.go. The
+// reconfiguration term R(I*, Ī*) of Options.Reconfig is priced per candidate
+// as a constant delta, like maintenance, so it runs on the same loop. The
+// loop produces the trace of the independent test oracle (oracle_test.go)
+// bit for bit.
 package core
 
 import (
@@ -80,13 +80,11 @@ type Options struct {
 	// matching the paper's end-to-end methodology of executing every query
 	// under every candidate.
 	ExactEvaluation bool
-	// Reconfig, if non-nil, returns R(I*, I-bar*) for a candidate selection;
-	// it is added to the workload cost when comparing steps. The current
-	// selection I-bar* is the caller's to capture. Because the callback's
-	// thread-safety is unknown and its value depends on the whole selection,
-	// setting it forces serial evaluation by the from-scratch sweep, which
-	// re-evaluates every candidate at every step.
-	Reconfig func(sel workload.Selection) float64
+	// Reconfig prices reconfiguration R(I*, I-bar*) against a deployed
+	// configuration; it is added to the workload cost when comparing steps.
+	// The zero value means reconfiguration is free (the paper's evaluation
+	// setting).
+	Reconfig Reconfig
 	// Parallelism is the number of worker goroutines that evaluate candidate
 	// steps concurrently; 0 uses GOMAXPROCS, 1 forces serial evaluation.
 	// Parallel and serial runs produce identical step traces: candidates are
@@ -101,7 +99,7 @@ type Options struct {
 	// deterministic at every Parallelism, but are no longer bit-identical to
 	// exact mode; steps that actually engaged the relaxed cut are counted in
 	// indexsel_lazy_approx_steps_total. 0 (the default) is provably exact.
-	// Ignored by the from-scratch sweep (Reconfig) and multi-index paths.
+	// Ignored by the multi-index path.
 	Approximate float64
 	// Explain records decision provenance: one explain.StepProvenance per
 	// applied step (gain decomposition by query, maintenance delta,
@@ -128,6 +126,30 @@ type Options struct {
 	// semantics as Context; zero means none. The earlier of Deadline and the
 	// Context's own deadline wins.
 	Deadline time.Time
+}
+
+// Reconfig is the reconfiguration cost R(I*, I-bar*) of a selection I*
+// against the deployed configuration I-bar*: every selected index outside
+// Deployed costs CreatePerByte per byte of its size; deployed indexes and
+// drops are free. Because R is a sum of per-index terms, a step's change in
+// R is a constant of the candidate — c(idx) for a new index, c(ext) - c(k)
+// for a morph k -> ext — which the step loop prices like maintenance.
+type Reconfig struct {
+	Deployed      workload.Selection
+	CreatePerByte float64
+}
+
+// cost returns R(sel): CreatePerByte times the bytes of sel outside
+// Deployed. Sizes are summed as integers, so R does not depend on map
+// iteration order.
+func (r Reconfig) cost(opt *whatif.Optimizer, sel workload.Selection) float64 {
+	var created int64
+	for key, k := range sel {
+		if _, ok := r.Deployed[key]; !ok {
+			created += opt.IndexSize(k)
+		}
+	}
+	return r.CreatePerByte * float64(created)
 }
 
 // StepKind labels a construction step.
@@ -187,9 +209,9 @@ type Step struct {
 	Candidates, Evaluated, CacheServed int
 	// Pruned counts candidates the lazy (CELF) loop skipped entirely because
 	// their gain upper bound could not beat the step's winner — neither
-	// evaluated nor served from cache. The from-scratch sweep (Reconfig)
-	// evaluates everything and reports zero CacheServed and Pruned;
-	// Candidates = Evaluated + CacheServed + Pruned.
+	// evaluated nor served from cache. Candidates = Evaluated + CacheServed +
+	// Pruned; the multi-index path (Remark 2) reports zero CacheServed and
+	// Pruned.
 	Pruned int
 }
 
@@ -220,7 +242,7 @@ type Result struct {
 	// no step.
 	Evaluated, CacheServed int
 	// Pruned totals the candidates the lazy (CELF) loop bound-skipped over the
-	// whole run (see Step.Pruned). Zero on the from-scratch sweep.
+	// whole run (see Step.Pruned). Zero on the multi-index path.
 	Pruned int
 	// Approximate echoes Options.Approximate (0 = exact mode).
 	Approximate float64
@@ -309,16 +331,10 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, opts Options) (res *Res
 
 // resolveWorkers returns the effective candidate-evaluation parallelism.
 func resolveWorkers(opts Options) int {
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Parallelism <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if opts.Reconfig != nil {
-		// The reconfiguration callback is user code of unknown thread-safety
-		// and couples every candidate's gain to the whole selection.
-		workers = 1
-	}
-	return workers
+	return opts.Parallelism
 }
 
 // selector holds the incremental state of a run. All index identities are
@@ -338,12 +354,18 @@ type selector struct {
 	// query beats a dense table over all interned IDs.
 	served []map[workload.IndexID]float64
 
-	sel   *workload.IDSelection
-	size  map[workload.IndexID]int64 // selected index -> p_k
-	fsum  float64                    // read component of F(I) = sum b_j cost_j
-	wsum  float64                    // write component: maintenance of selected indexes
-	mem   int64                      // P(I)
-	recon float64                    // R(I) under opts.Reconfig (0 if nil)
+	sel  *workload.IDSelection
+	size map[workload.IndexID]int64 // selected index -> p_k
+	fsum float64                    // read component of F(I) = sum b_j cost_j
+	wsum float64                    // write component: maintenance of selected indexes
+	mem  int64                      // P(I)
+	// created is the bytes of selected indexes outside the deployed set, so
+	// R(I) = CreatePerByte * created; deployed holds that set's interned
+	// IDs, and reconOn reports a nonzero CreatePerByte (without it, R is
+	// identically 0 and never priced).
+	created  int64
+	deployed *workload.IDSelection
+	reconOn  bool
 
 	// byLead lists each lead attribute's selected indexes in canonical key
 	// order, kept up to date by addIndex/removeIndex, so the lazy loop's
@@ -367,8 +389,8 @@ type selector struct {
 
 	// workers is the resolved evaluation parallelism (>= 1).
 	workers int
-	// lazy is the CELF priority-queue state (lazy.go); non-nil exactly when
-	// the lazy step loop is active (no Reconfig, not MultiIndex).
+	// lazy is the CELF priority-queue state (lazy.go); nil on the
+	// multi-index path.
 	lazy *lazyState
 	// snapCost is mutateStep's reusable cost-snapshot buffer.
 	snapCost []float64
@@ -419,12 +441,12 @@ type gainKey struct {
 // a viable step (positive gain and memory growth). Selection-membership and
 // budget checks are NOT part of the entry — they depend on per-step state
 // and are re-applied cheaply on every use. optGain and dm are reported even
-// for non-viable outcomes: the lazy path derives stale upper bounds from
-// them (see lazy.go), while the from-scratch sweep ignores them.
+// for non-viable outcomes: the lazy loop derives stale upper bounds from
+// them (see lazy.go).
 type gainEntry struct {
 	c       candidate
 	ok      bool
-	optGain float64 // optimistic surrogate gain (== gain for new-index kinds)
+	optGain float64 // optimistic surrogate gain (>= gain)
 	dm      int64   // memory delta, valid while the base index stays selected
 }
 
@@ -468,13 +490,17 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 		s.singles[a.ID] = idx
 		s.singleIDs[a.ID] = s.in.Intern(idx)
 	}
-	s.ensure()
-	if opts.Reconfig != nil {
-		s.recon = opts.Reconfig(s.sel.Selection())
+	if opts.Reconfig.CreatePerByte != 0 {
+		s.reconOn = true
+		s.deployed = workload.NewIDSelection(s.in)
+		for _, k := range opts.Reconfig.Deployed {
+			s.deployed.Add(s.in.Intern(k))
+		}
 	}
+	s.ensure()
 	// The lazy state is built last: it derives its bound slacks from the
 	// base costs above.
-	if opts.Reconfig == nil && !opts.MultiIndex {
+	if !opts.MultiIndex {
 		s.lazy = newLazyState(s)
 	}
 	return s
@@ -550,11 +576,31 @@ func (s *selector) maintFor(k workload.Index, id workload.IndexID) float64 {
 }
 
 // total returns the tracked F(I) + maintenance + R(I).
-func (s *selector) total() float64 { return s.fsum + s.wsum + s.recon }
+func (s *selector) total() float64 { return s.fsum + s.wsum + s.recon() }
+
+// recon returns the tracked R(I).
+func (s *selector) recon() float64 {
+	return s.opts.Reconfig.CreatePerByte * float64(s.created)
+}
 
 func (s *selector) indexSize(k workload.Index, id workload.IndexID) int64 {
 	return s.opt.IndexSizeInterned(k, id)
 }
+
+// createCost is index id's term c(id) of R: CreatePerByte times its size
+// (passed in; the callers have it at hand) unless it is deployed.
+func (s *selector) createCost(id workload.IndexID, size int64) float64 {
+	if s.deployed.Has(id) {
+		return 0
+	}
+	return s.opts.Reconfig.CreatePerByte * float64(size)
+}
+
+// reconSlack is the optimistic-gain cushion for a reconfiguration delta dr:
+// the lazy bounds subtract the same dr from optGain as from the gain, and the
+// cushion covers the rounding of that subtraction at dr's magnitude, which
+// the bucket slack (sized from base costs) does not.
+func reconSlack(dr float64) float64 { return lazyBoundSlackRel * math.Abs(dr) }
 
 // candidate is a potential construction step under evaluation.
 type candidate struct {
@@ -571,9 +617,9 @@ type candidate struct {
 // evalNew computes the gain of adding idx as a brand-new index. It is a pure
 // function of the frozen per-step state (cost, served, selection sizes) and
 // may run on any worker goroutine; selection-membership filtering happens in
-// enumerate(). For a new index the gain already is the optimistic surrogate
-// of lazy.go (there is no replaced index whose loss could offset it), so
-// optGain == gain.
+// rebuildBucket. For a new index the gain already is the optimistic
+// surrogate of lazy.go (there is no replaced index whose loss could offset
+// it), so optGain == gain, plus reconSlack under Options.Reconfig.
 func (s *selector) evalNew(idx workload.Index, id workload.IndexID, kind StepKind) gainEntry {
 	costs := s.costsFor(idx, id)
 	qs := s.queriesWith[idx.Leading()]
@@ -585,18 +631,19 @@ func (s *selector) evalNew(idx workload.Index, id workload.IndexID, kind StepKin
 	}
 	gain -= s.maintFor(idx, id)
 	dm := s.indexSize(idx, id)
-	if s.opts.Reconfig != nil {
-		next := s.sel.Clone()
-		next.Add(id)
-		gain += s.recon - s.opts.Reconfig(next.Selection())
+	opt := gain
+	if s.reconOn {
+		dr := s.createCost(id, dm)
+		gain -= dr
+		opt = gain + reconSlack(dr)
 	}
 	if gain <= 0 || dm <= 0 {
-		return gainEntry{optGain: gain, dm: dm}
+		return gainEntry{optGain: opt, dm: dm}
 	}
 	return gainEntry{
 		c:       candidate{kind: kind, index: idx, id: id, gain: gain, deltaMem: dm, ratio: gain / float64(dm)},
 		ok:      true,
-		optGain: gain,
+		optGain: opt,
 		dm:      dm,
 	}
 }
@@ -638,12 +685,12 @@ func (s *selector) evalExtend(k workload.Index, kID workload.IndexID, ext worklo
 	maintDelta := s.maintFor(ext, extID) - s.maintFor(k, kID)
 	gain -= maintDelta
 	opt -= maintDelta
-	dm := s.indexSize(ext, extID) - s.size[kID]
-	if s.opts.Reconfig != nil {
-		next := s.sel.Clone()
-		next.Remove(kID)
-		next.Add(extID)
-		gain += s.recon - s.opts.Reconfig(next.Selection())
+	extSize := s.indexSize(ext, extID)
+	dm := extSize - s.size[kID]
+	if s.reconOn {
+		dr := s.createCost(extID, extSize) - s.createCost(kID, s.size[kID])
+		gain -= dr
+		opt = opt - dr + reconSlack(dr)
 	}
 	if gain <= 0 || dm <= 0 {
 		return gainEntry{optGain: opt, dm: dm}
@@ -697,9 +744,9 @@ type selEntry struct {
 }
 
 // sortedSel returns the selection in canonical key order, matching
-// workload.Selection.Sorted. Its callers are the whole-selection loops,
-// enumerate and dropUnused; the lazy loop's per-bucket rebuild reads the
-// same order, filtered to one lead, from byLead instead.
+// workload.Selection.Sorted. Its caller is the whole-selection loop of
+// dropUnused; the lazy loop's per-bucket rebuild reads the same order,
+// filtered to one lead, from byLead instead.
 func (s *selector) sortedSel() []selEntry {
 	out := make([]selEntry, 0, s.sel.Len())
 	for _, id := range s.sel.IDs() {
@@ -709,129 +756,6 @@ func (s *selector) sortedSel() []selEntry {
 		return workload.CompareIndexKeys(out[i].k, out[j].k) < 0
 	})
 	return out
-}
-
-// enumerate lists every candidate step of the current construction step in a
-// fixed, deterministic order: step (3a) singles, step (3b) one-attribute
-// extensions, then the Remark 1.4 pair universe. Cheap state-dependent
-// filters (TopNSingle, empty query sets, already-selected indexes) are
-// applied here, outside the parallel phase. All interning happens here,
-// serially; callers must ensure() before fanning the tasks out to workers.
-func (s *selector) enumerate() []evalTask {
-	var tasks []evalTask
-
-	// Step (3a): new single-attribute indexes.
-	for _, a := range s.w.Attrs() {
-		if s.singleAllowed != nil && !s.singleAllowed[a.ID] {
-			continue
-		}
-		if len(s.queriesWith[a.ID]) == 0 {
-			continue
-		}
-		if s.sel.Has(s.singleIDs[a.ID]) {
-			continue
-		}
-		tasks = append(tasks, evalTask{kind: StepNewIndex, index: s.singles[a.ID], id: s.singleIDs[a.ID]})
-	}
-
-	// Step (3b): append one attribute to each selected index.
-	sel := s.sortedSel()
-	for _, e := range sel {
-		for _, a := range s.w.Tables[e.k.Table].Attrs {
-			if e.k.Contains(a) {
-				continue
-			}
-			ext := e.k.Append(a)
-			extID := s.in.Intern(ext)
-			if s.sel.Has(extID) {
-				continue
-			}
-			tasks = append(tasks, evalTask{kind: StepExtend, index: ext, id: extID, base: e.k, baseID: e.id, hasBase: true})
-		}
-	}
-
-	if s.opts.PairSteps {
-		for _, p := range s.pairUniverse() {
-			idx := workload.Index{Table: s.w.TableOf(p[0]), Attrs: []int{p[0], p[1]}}
-			id := s.in.Intern(idx)
-			if !s.sel.Has(id) {
-				tasks = append(tasks, evalTask{kind: StepNewPair, index: idx, id: id})
-			}
-			for _, e := range sel {
-				if e.k.Table != idx.Table || e.k.Contains(p[0]) || e.k.Contains(p[1]) {
-					continue
-				}
-				ext := e.k.Append(p[0]).Append(p[1])
-				extID := s.in.Intern(ext)
-				if s.sel.Has(extID) {
-					continue
-				}
-				tasks = append(tasks, evalTask{kind: StepExtendPair, index: ext, id: extID, base: e.k, baseID: e.id, hasBase: true})
-			}
-		}
-	}
-	return tasks
-}
-
-// collect is the from-scratch sweep, the step loop under Options.Reconfig:
-// it enumerates every candidate step and re-evaluates each one, fanned out
-// over the worker pool. The reduction runs serially over the fixed
-// enumeration order with the deterministic better() tie-break, so the chosen
-// step (and runner-up) is identical for every Parallelism setting.
-//
-// If the stopper fires while the step is being evaluated, the whole in-flight
-// step is discarded (ok=false, stopReason set): applying a step decided over
-// partially evaluated candidates would break the bit-identical-prefix
-// guarantee. A worker panic surfaces as a non-nil err.
-func (s *selector) collect() (best, second candidate, haveSecond, ok bool, err error) {
-	tasks := s.enumerate()
-	s.ensure() // cover freshly interned candidates before workers start
-	results := make([]gainEntry, len(tasks))
-	pending := make([]int, len(tasks))
-	for i := range pending {
-		pending[i] = i
-	}
-	s.lastCandidates, s.lastEvaluated = len(tasks), len(tasks)
-	s.lastCached, s.lastPruned = 0, 0
-	s.totalEvaluated += len(tasks)
-
-	if err := s.evalPending(tasks, results, pending); err != nil {
-		return candidate{}, candidate{}, false, false, err
-	}
-	if r := s.stop.Check(); r != fault.StopNone {
-		// Some results may be missing (workers drained); discard the step
-		// rather than reducing over an incomplete evaluation.
-		s.stopReason = r
-		return candidate{}, candidate{}, false, false, nil
-	}
-
-	budgetExcluded := false
-	for _, r := range results {
-		c := r.c
-		if !r.ok {
-			continue
-		}
-		if s.mem+c.deltaMem > s.opts.Budget {
-			budgetExcluded = true
-			continue
-		}
-		if !ok || better(c, best) {
-			if ok {
-				second, haveSecond = best, true
-			}
-			best, ok = c, true
-		} else if !haveSecond || better(c, second) {
-			second, haveSecond = c, true
-		}
-	}
-	if !ok {
-		if budgetExcluded {
-			s.stopReason = fault.StopBudget
-		} else {
-			s.stopReason = fault.StopConverged
-		}
-	}
-	return best, second, haveSecond, ok, nil
 }
 
 // mutateStep wraps the serial state mutation(s) of one applied or dropped
@@ -846,10 +770,6 @@ func (s *selector) mutateStep(lead int, f func()) {
 	if mutateHook != nil {
 		defer mutateHook(s)
 	}
-	if s.lazy == nil && !s.opts.Explain {
-		f()
-		return
-	}
 	qs := s.queriesWith[lead]
 	snap := s.snapCost[:0]
 	for _, qid := range qs {
@@ -860,9 +780,7 @@ func (s *selector) mutateStep(lead int, f func()) {
 	if s.opts.Explain {
 		s.captureDeltas(lead, snap)
 	}
-	if s.lazy != nil {
-		s.lazy.noteMutation(s, lead, snap)
-	}
+	s.lazy.noteMutation(s, lead, snap)
 }
 
 // mutateHook, when non-nil, receives the selector after every applied or
@@ -905,7 +823,7 @@ func (s *selector) captureProv(st *Step, second candidate, haveSecond bool, wsum
 		Gain:             st.CostBefore - st.CostAfter,
 		ReadGain:         s.lastReadGain,
 		MaintenanceDelta: s.wsum - wsumBefore,
-		ReconfigDelta:    s.recon - reconBefore,
+		ReconfigDelta:    s.recon() - reconBefore,
 		MemDeltaBytes:    st.MemAfter - st.MemBefore,
 		Ratio:            st.Ratio,
 		QueriesChanged:   s.lastChanged,
@@ -1006,7 +924,7 @@ func (s *selector) pairUniverse() [][2]int {
 // apply mutates the state with the chosen candidate and records the step.
 func (s *selector) apply(c candidate, second candidate, haveSecond bool) {
 	before, memBefore := s.total(), s.mem
-	wsumBefore, reconBefore := s.wsum, s.recon
+	wsumBefore, reconBefore := s.wsum, s.recon()
 
 	s.mutateStep(c.index.Leading(), func() {
 		if c.replaced != nil {
@@ -1015,9 +933,6 @@ func (s *selector) apply(c candidate, second candidate, haveSecond bool) {
 		s.addIndex(c.index, c.id)
 	})
 
-	if s.opts.Reconfig != nil {
-		s.recon = s.opts.Reconfig(s.sel.Selection())
-	}
 	step := Step{
 		Kind:        c.kind,
 		Index:       c.index,
@@ -1056,6 +971,9 @@ func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 	s.size[id] = sz
 	s.mem += sz
 	s.wsum += s.maintFor(idx, id)
+	if s.reconOn && !s.deployed.Has(id) {
+		s.created += sz
+	}
 	costs := s.costsFor(idx, id)
 	for i, qid := range s.queriesWith[idx.Leading()] {
 		s.served[qid][id] = costs[i]
@@ -1078,6 +996,9 @@ func (s *selector) removeIndex(idx workload.Index, id workload.IndexID) {
 	}
 	s.mem -= s.size[id]
 	s.wsum -= s.maintFor(idx, id)
+	if s.reconOn && !s.deployed.Has(id) {
+		s.created -= s.size[id]
+	}
 	delete(s.size, id)
 	for _, qid := range s.queriesWith[idx.Leading()] {
 		if _, ok := s.served[qid][id]; !ok {
@@ -1134,13 +1055,10 @@ func (s *selector) dropUnused() {
 				continue // still worth keeping
 			}
 			before, memBefore := s.total(), s.mem
-			wsumBefore, reconBefore := s.wsum, s.recon
+			wsumBefore, reconBefore := s.wsum, s.recon()
 			s.mutateStep(e.k.Leading(), func() {
 				s.removeIndex(e.k, e.id)
 			})
-			if s.opts.Reconfig != nil {
-				s.recon = s.opts.Reconfig(s.sel.Selection())
-			}
 			s.steps = append(s.steps, Step{
 				Kind:       StepDrop,
 				Index:      e.k,
@@ -1200,16 +1118,11 @@ func (s *selector) initTopNSingle() {
 	}
 }
 
-// run executes the construction loop in the single-index cost decomposition.
-// The step decision is the lazy CELF loop (collectLazy), or the from-scratch
-// sweep (collect) under Options.Reconfig.
+// run executes the construction loop in the single-index cost decomposition;
+// the lazy CELF loop (collectLazy) decides each step.
 func (s *selector) run() (*Result, error) {
 	s.initTopNSingle()
 	initial := s.total()
-	decide := s.collect
-	if s.lazy != nil {
-		decide = s.collectLazy
-	}
 	for {
 		if s.opts.MaxSteps > 0 && len(s.steps) >= s.opts.MaxSteps {
 			s.stopReason = fault.StopMaxSteps
@@ -1221,14 +1134,14 @@ func (s *selector) run() (*Result, error) {
 		}
 		sp := s.opts.Span.Child("extend.step")
 		stepStart := time.Now()
-		best, second, haveSecond, ok, err := decide()
+		best, second, haveSecond, ok, err := s.collectLazy()
 		if err != nil {
 			sp.Discard()
 			return nil, err
 		}
 		if !ok {
 			sp.Discard()
-			break // collect set stopReason
+			break // collectLazy set stopReason
 		}
 		s.apply(best, second, haveSecond)
 		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.workers, s.lastProv())
@@ -1248,12 +1161,10 @@ func (s *selector) run() (*Result, error) {
 		Evaluated:   s.totalEvaluated,
 		CacheServed: s.totalCached,
 		Pruned:      s.totalPruned,
+		Approximate: s.opts.Approximate,
 		Provenance:  s.prov,
 		StopReason:  s.stopReason,
 		Partial:     s.stopReason.Interrupted(),
-	}
-	if s.lazy != nil {
-		res.Approximate = s.opts.Approximate
 	}
 	logRun(res)
 	return res, nil
@@ -1319,8 +1230,8 @@ func (s *selector) runMultiIndex() (*Result, error) {
 		for _, q := range s.w.Queries {
 			f += float64(q.Freq) * queryCost(sel, q)
 		}
-		if s.opts.Reconfig != nil {
-			f += s.opts.Reconfig(sel)
+		if s.opts.Reconfig.CreatePerByte != 0 {
+			f += s.opts.Reconfig.cost(s.opt, sel)
 		}
 		return f
 	}

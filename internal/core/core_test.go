@@ -315,14 +315,10 @@ func TestReconfigDiscouragesChurn(t *testing.T) {
 	}
 	// A reconfiguration charge proportional to created bytes makes index
 	// creation strictly less attractive: at most as many indexes selected.
-	rc := costmodel.Reconfig{CreatePerByte: 1e6}
-	current := workload.NewSelection()
 	opt2 := whatif.New(m)
 	charged, err := Select(w, opt2, Options{
-		Budget: m.Budget(0.5),
-		Reconfig: func(sel workload.Selection) float64 {
-			return rc.Cost(m, sel, current)
-		},
+		Budget:   m.Budget(0.5),
+		Reconfig: Reconfig{CreatePerByte: 1e6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,13 +327,10 @@ func TestReconfigDiscouragesChurn(t *testing.T) {
 		t.Errorf("reconfig charge grew selection: %d > %d", len(charged.Selection), len(free.Selection))
 	}
 	// With an absurd charge nothing should be worth building.
-	rcHuge := costmodel.Reconfig{CreatePerByte: 1e18}
 	opt3 := whatif.New(m)
 	none, err := Select(w, opt3, Options{
-		Budget: m.Budget(0.5),
-		Reconfig: func(sel workload.Selection) float64 {
-			return rcHuge.Cost(m, sel, current)
-		},
+		Budget:   m.Budget(0.5),
+		Reconfig: Reconfig{CreatePerByte: 1e18},
 	})
 	if err != nil {
 		t.Fatal(err)

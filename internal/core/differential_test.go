@@ -11,9 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The production step loops are checked against the independent oracle of
-// oracle_test.go: the lazy loop at every parallelism level, and the
-// from-scratch sweep that Options.Reconfig selects.
+// The production step loop is checked against the independent oracle of
+// oracle_test.go at every parallelism level, with and without a
+// reconfiguration cost.
 
 func diffWorkloads(t *testing.T) map[string]*workload.Workload {
 	t.Helper()
@@ -36,28 +36,55 @@ func writeWorkload(seed int64, writeShare float64) *workload.Workload {
 	return workload.MustGenerate(cfg)
 }
 
-// perByteReconfig charges R(I) = rate·P(I): building an index that fills
-// the whole budget costs share of the workload's unindexed cost. Sizes are
-// summed as integers, so R is independent of map iteration order.
-func perByteReconfig(w *workload.Workload, m *costmodel.Model, share float64, budget int64) func(workload.Selection) float64 {
-	rate := share * m.TotalCost(workload.NewSelection()) / float64(budget)
-	return func(sel workload.Selection) float64 {
-		var p int64
-		for _, k := range sel {
-			p += m.IndexSize(k)
-		}
-		return rate * float64(p)
+// perByteReconfig charges every byte created outside deployed at a rate at
+// which building indexes that fill the whole budget costs share of the
+// workload's unindexed cost.
+func perByteReconfig(m *costmodel.Model, share float64, budget int64, deployed workload.Selection) Reconfig {
+	return Reconfig{
+		Deployed:      deployed,
+		CreatePerByte: share * m.TotalCost(workload.NewSelection()) / float64(budget),
 	}
 }
 
+// deployedSet is a non-empty deployed configuration for w: the churn-free
+// selection at budget share 0.25 with every third index (in key order)
+// swapped for its one-attribute extension by the first table attribute it
+// lacks. Under a per-byte Reconfig, deployed singles are then free, morphs
+// onto a deployed extension earn a credit, and morphs away from a deployed
+// index pay for the whole new one.
+func deployedSet(t *testing.T, w *workload.Workload, m *costmodel.Model) workload.Selection {
+	t.Helper()
+	res, err := Select(w, whatif.New(m), Options{Budget: m.Budget(0.25)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := res.Selection.Sorted()
+	if len(sorted) < 3 {
+		t.Fatalf("churn-free selection has %d indexes; too few to swap", len(sorted))
+	}
+	dep := workload.NewSelection()
+	for i, k := range sorted {
+		if i%3 == 0 {
+			for _, a := range w.Tables[k.Table].Attrs {
+				if !k.Contains(a) {
+					k = k.Append(a)
+					break
+				}
+			}
+		}
+		dep.Add(k)
+	}
+	return dep
+}
+
 // TestDifferentialLazyVsOracle is the exactness contract of the production
-// step loops. On TPC-C, the scaled ERP and seeded-random write workloads,
+// step loop. On TPC-C, the scaled ERP and seeded-random write workloads,
 // for each Remark-1 feature set, the lazy loop at P = 1, 4 and NumCPU must
 // reproduce the oracle's trace: same steps, ratios bit for bit, same
-// candidate universe, same final selection and stop reason. A nonzero
-// per-byte Reconfig case runs the from-scratch sweep against the oracle on
-// every workload but the ERP, where a sweep that re-evaluates every
-// candidate with whole-selection Reconfig calls costs seconds per run.
+// candidate universe, same final selection and stop reason. It does so free
+// of reconfiguration and under two per-byte Reconfig costs: from an empty
+// deployed set, and from the non-empty one of deployedSet. Across the
+// Reconfig runs the bounds must still prune.
 func TestDifferentialLazyVsOracle(t *testing.T) {
 	workloads := diffWorkloads(t)
 	for _, seed := range []int64{5, 19, 47} {
@@ -70,43 +97,43 @@ func TestDifferentialLazyVsOracle(t *testing.T) {
 		{TopNSingle: 8},
 	}
 	parallelisms := []int{1, 4, runtime.NumCPU()}
+	reconPruned := 0
 	for name, w := range workloads {
 		m := costmodel.New(w, costmodel.SingleIndex)
 		budget := m.Budget(0.5)
-		for fi, feat := range features {
-			opts := feat
-			opts.Budget = budget
-			want := runOracle(w, m, opts)
-			if len(want.Steps) == 0 {
-				t.Fatalf("%s/feature%d: oracle took no step", name, fi)
-			}
-			for _, p := range parallelisms {
-				opts.Parallelism = p
-				got, err := Select(w, whatif.New(m), opts)
-				if err != nil {
-					t.Fatalf("%s/feature%d/P%d: %v", name, fi, p, err)
+		recons := []struct {
+			name string
+			r    Reconfig
+		}{
+			{"", Reconfig{}},
+			{"/reconfig", perByteReconfig(m, 0.01, budget, nil)},
+			{"/reconfig-deployed", perByteReconfig(m, 0.01, budget, deployedSet(t, w, m))},
+		}
+		for _, rc := range recons {
+			rname, recon := rc.name, rc.r
+			for fi, feat := range features {
+				opts := feat
+				opts.Budget, opts.Reconfig = budget, recon
+				want := runOracle(w, m, opts)
+				if len(want.Steps) == 0 {
+					t.Fatalf("%s%s/feature%d: oracle took no step", name, rname, fi)
 				}
-				matchOracle(t, fmt.Sprintf("%s/feature%d/P%d", name, fi, p), want, got)
+				for _, p := range parallelisms {
+					opts.Parallelism = p
+					got, err := Select(w, whatif.New(m), opts)
+					if err != nil {
+						t.Fatalf("%s%s/feature%d/P%d: %v", name, rname, fi, p, err)
+					}
+					matchOracle(t, fmt.Sprintf("%s%s/feature%d/P%d", name, rname, fi, p), want, got)
+					if rname != "" {
+						reconPruned += got.Pruned
+					}
+				}
 			}
 		}
-
-		if name == "ERP" {
-			continue
-		}
-		opts := Options{
-			Budget: budget, TrackSecondBest: true, DropUnused: true,
-			Reconfig: perByteReconfig(w, m, 0.01, budget),
-		}
-		want := runOracle(w, m, opts)
-		got, err := Select(w, whatif.New(m), opts)
-		if err != nil {
-			t.Fatalf("%s/reconfig: %v", name, err)
-		}
-		matchOracle(t, name+"/reconfig", want, got)
-		if got.Pruned != 0 || got.CacheServed != 0 {
-			t.Errorf("%s/reconfig: from-scratch sweep reports %d pruned, %d cache-served",
-				name, got.Pruned, got.CacheServed)
-		}
+	}
+	if reconPruned == 0 {
+		t.Error("no Reconfig run pruned a candidate; the bounds are degenerate under reconfiguration")
 	}
 }
 
@@ -251,5 +278,35 @@ func TestDifferentialExactEvaluation(t *testing.T) {
 	matchOracle(t, "exact", want, exact)
 	if e, d := exactOpt.Stats().Calls, derivedOpt.Stats().Calls; e < d {
 		t.Errorf("exact evaluation made %d what-if calls, fewer than derived evaluation's %d", e, d)
+	}
+}
+
+// TestReconfigEvaluationsWithinTwiceChurnFree is the deterministic scale
+// guard for churn-aware selection: on the scaled ERP at budget share 0.5, a
+// run under a per-byte Reconfig from the non-empty deployed set of
+// deployedSet must evaluate at most twice the candidates of the churn-free
+// run. It counts evaluations, not wall time, so it is immune to machine
+// noise.
+func TestReconfigEvaluationsWithinTwiceChurnFree(t *testing.T) {
+	w := diffWorkloads(t)["ERP"]
+	m := costmodel.New(w, costmodel.SingleIndex)
+	budget := m.Budget(0.5)
+	free, err := Select(w, whatif.New(m), Options{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aware, err := Select(w, whatif.New(m), Options{
+		Budget:   budget,
+		Reconfig: perByteReconfig(m, 0.01, budget, deployedSet(t, w, m)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aware.Steps) == 0 {
+		t.Fatal("churn-aware run took no step")
+	}
+	if aware.Evaluated > 2*free.Evaluated {
+		t.Errorf("churn-aware run evaluated %d candidates, more than twice the churn-free run's %d",
+			aware.Evaluated, free.Evaluated)
 	}
 }

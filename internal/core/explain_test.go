@@ -7,28 +7,23 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/explain"
 	"repro/internal/whatif"
-	"repro/internal/workload"
 )
 
 // Provenance must be a pure observer: turning Options.Explain on may not
 // change a single decision, tie-break, or what-if call. The trace, frontier,
-// and optimizer accounting must be bit-identical with it on and off, on both
-// the lazy loop and the from-scratch sweep (selected by a zero-cost
-// Reconfig, which leaves every gain unchanged; TPC-C only, as a sweep of the
-// ERP costs seconds).
+// and optimizer accounting must be bit-identical with it on and off, free of
+// reconfiguration and under a per-byte Reconfig from a non-empty deployed
+// set, whose steps must then record a nonzero ReconfigDelta.
 func TestExplainTracePreserving(t *testing.T) {
 	for name, w := range diffWorkloads(t) {
 		m := costmodel.New(w, costmodel.SingleIndex)
 		budget := m.Budget(0.5)
-		for _, sweep := range []bool{false, true} {
+		for _, reconfig := range []bool{false, true} {
 			label := name + "/lazy"
 			opts := Options{Budget: budget}
-			if sweep {
-				if name == "ERP" {
-					continue
-				}
-				label = name + "/sweep"
-				opts.Reconfig = func(workload.Selection) float64 { return 0 }
+			if reconfig {
+				label = name + "/reconfig"
+				opts.Reconfig = perByteReconfig(m, 0.01, budget, deployedSet(t, w, m))
 			}
 
 			plainOpt := whatif.New(m)
@@ -53,7 +48,18 @@ func TestExplainTracePreserving(t *testing.T) {
 			if plain.Provenance != nil {
 				t.Errorf("%s: provenance recorded without Explain", label)
 			}
-			checkProvenance(t, label, expl, sweep)
+			checkProvenance(t, label, expl)
+			if reconfig {
+				charged := 0
+				for _, p := range expl.Provenance {
+					if p.ReconfigDelta != 0 {
+						charged++
+					}
+				}
+				if charged == 0 {
+					t.Errorf("%s: no step recorded a reconfiguration delta", label)
+				}
+			}
 		}
 	}
 }
@@ -61,8 +67,8 @@ func TestExplainTracePreserving(t *testing.T) {
 // checkProvenance asserts the structural invariants of a provenance trace:
 // one record per step, exact gain decomposition, by-query deltas summing to
 // the read gain, and a prune ledger whose skip totals reproduce the step's
-// Pruned count (lazy loop only).
-func checkProvenance(t *testing.T, label string, res *Result, sweep bool) {
+// Pruned count.
+func checkProvenance(t *testing.T, label string, res *Result) {
 	t.Helper()
 	if len(res.Provenance) != len(res.Steps) {
 		t.Fatalf("%s: %d provenance records for %d steps", label, len(res.Provenance), len(res.Steps))
@@ -102,12 +108,6 @@ func checkProvenance(t *testing.T, label string, res *Result, sweep bool) {
 			}
 		}
 
-		if sweep {
-			if len(p.PruneLedger) != 0 || p.LedgerSkipped != 0 {
-				t.Errorf("%s: step %d carries a prune ledger on the from-scratch sweep", label, i)
-			}
-			continue
-		}
 		if p.LedgerSkipped != st.Pruned {
 			t.Errorf("%s: step %d ledger skips %d candidates, step pruned %d",
 				label, i, p.LedgerSkipped, st.Pruned)
@@ -173,7 +173,7 @@ func TestExplainWithFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkProvenance(t, "TPCC/features", res, false)
+	checkProvenance(t, "TPCC/features", res)
 	for i, p := range res.Provenance {
 		st := res.Steps[i]
 		if st.Replaced != nil && p.Replaced != st.Replaced.Key() {

@@ -1,6 +1,5 @@
 // Lazy-greedy (CELF) step loop. Instead of re-evaluating every candidate
-// each construction step (collect, the from-scratch sweep), the
-// selector keeps one persistent entry per candidate carrying the outcome of
+// each construction step, the selector keeps one persistent entry per candidate carrying the outcome of
 // its last evaluation plus enough bookkeeping to derive a SOUND upper bound
 // on its current benefit/memory ratio, and each step pops candidates from a
 // max-heap of those bounds, re-evaluating only until the best remaining
@@ -28,7 +27,8 @@
 //     covers effect (a).
 //
 // The memory delta of a candidate is constant while its base stays selected
-// (sizes and maintenance are selection-independent), and candidates whose
+// (sizes, maintenance and the reconfiguration delta of Options.Reconfig are
+// selection-independent), and candidates whose
 // base was unselected or that entered the selection die in the per-step
 // universe rebuild, so
 //
@@ -42,7 +42,14 @@
 // just on paper. That is what makes exact mode EXACT: the loop only ever
 // skips candidates whose true ratio provably cannot beat (or tie) the
 // winner, so the decided step, runner-up, and stop reason are bit-identical
-// to a from-scratch sweep's.
+// to those of evaluating every candidate.
+//
+// Reconfiguration (Options.Reconfig) enters as a per-candidate constant dr,
+// the change in R the step would cause; evaluation subtracts it from gain
+// and optGain alike, so it never needs a per-bucket credit. A large dr (a
+// steep per-byte rate) makes those sums round at dr's magnitude, which the
+// base-cost slack does not cover, so optGain also carries reconSlack(dr), the
+// same 1e-9 relative cushion taken of |dr|.
 //
 // On top of the entry heap sits one sentinel per lead-attribute bucket:
 // buckets keep an aggregate bound (max entry bound at a recorded rise level,
@@ -72,8 +79,8 @@
 // the PR-1 worker pool, so the set of evaluated candidates — and with it the
 // whole trace and the Step accounting — is identical at every Parallelism.
 // The stop rule is strict (top bound < threshold): candidates whose bound
-// ties the winner are still evaluated so tie-breaks match a from-scratch
-// sweep. Options.Approximate relaxes only this cut to threshold*(1+eps),
+// ties the winner are still evaluated so tie-breaks match an evaluation of
+// every candidate. Options.Approximate relaxes only this cut to threshold*(1+eps),
 // trading exactness of the step choice (within a (1+eps) ratio factor) for
 // fewer evaluations.
 package core
@@ -419,9 +426,17 @@ func (lz *lazyState) refreshAgg(b int) {
 	bk.agg, bk.aggRiseAt, bk.minDM, bk.hasAgg = agg, lz.rise[b], minDM, true
 }
 
-// collectLazy is the CELF replacement for collect(): same contract, same
-// bit-identical decision in exact mode, but only the candidates whose bounds
-// reach the evolving threshold are (re)evaluated.
+// collectLazy decides one construction step: the best viable candidate
+// within budget (and the runner-up), bit-identical in exact mode to
+// evaluating every candidate, but (re)evaluating only those whose bounds
+// reach the evolving threshold. The reduction is serial over a fixed pop
+// order with the deterministic better() tie-break, so the decision is the
+// same at every Parallelism.
+//
+// If the stopper fires while the step is being evaluated, the whole in-flight
+// step is discarded (ok=false, stopReason set): applying a step decided over
+// partially evaluated candidates would break the bit-identical-prefix
+// guarantee. A worker panic surfaces as a non-nil err.
 func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, err error) {
 	lz := s.lazy
 
@@ -609,7 +624,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	if !ok {
 		// Nothing viable in budget. No threshold ever existed, so every
 		// bucket was opened and every entry consulted or evaluated — the
-		// budget-exclusion verdict is exactly a from-scratch sweep's.
+		// budget-exclusion verdict is exactly that of evaluating everything.
 		if budgetExcluded {
 			s.stopReason = fault.StopBudget
 		} else {

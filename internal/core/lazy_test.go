@@ -15,13 +15,13 @@ import (
 )
 
 // TestDifferentialLazyVsEager pins the lazy (CELF) loop to the eager
-// evaluation it prunes: the from-scratch sweep, which a zero-cost Reconfig
-// selects and which evaluates every candidate on every step. At P = 1, 4 and
-// NumCPU the lazy trace and frontier must be bit-identical to the sweep's,
-// each step must enumerate the same candidate universe, and the bounds may
-// only save evaluations, never add them. It runs on TPC-C and the seeded
-// write workloads; on the scaled ERP one sweep takes seconds, and the ERP's
-// lazy trace is pinned to the oracle by TestDifferentialLazyVsOracle.
+// evaluation it prunes: the oracle, which evaluates every candidate on every
+// step. At P = 1, 4 and NumCPU the lazy trace must match the oracle's and
+// its frontier must be bit-identical to the serial run's, each step must
+// enumerate the oracle's candidate universe, and the bounds may only save
+// evaluations, never add them: the lazy run evaluates at most the oracle's
+// candidate count. It runs on TPC-C and the seeded write workloads; the
+// scaled ERP is covered by TestDifferentialLazyVsOracle.
 func TestDifferentialLazyVsEager(t *testing.T) {
 	parallelisms := []int{1, 4, runtime.NumCPU()}
 	features := []Options{
@@ -40,11 +40,8 @@ func TestDifferentialLazyVsEager(t *testing.T) {
 		for fi, feat := range features {
 			eagerOpts := feat
 			eagerOpts.Budget = budget
-			eagerOpts.Reconfig = func(workload.Selection) float64 { return 0 }
-			want, err := Select(w, whatif.New(m), eagerOpts)
-			if err != nil {
-				t.Fatalf("%s/feature%d: eager: %v", name, fi, err)
-			}
+			want := runOracle(w, m, eagerOpts)
+			var serial *Result
 			for _, p := range parallelisms {
 				label := fmt.Sprintf("%s/feature%d/P%d", name, fi, p)
 				opts := feat
@@ -54,17 +51,17 @@ func TestDifferentialLazyVsEager(t *testing.T) {
 					t.Fatalf("%s: lazy: %v", label, err)
 				}
 
-				traceEqual(t, label, want, got)
-				if want.StopReason != got.StopReason {
-					t.Errorf("%s: stop reason %v (eager) vs %v (lazy)", label, want.StopReason, got.StopReason)
+				matchOracle(t, label, want, got)
+				if serial == nil {
+					serial = got
 				}
-				wf, gf := want.Frontier(), got.Frontier()
+				wf, gf := serial.Frontier(), got.Frontier()
 				if len(wf) != len(gf) {
 					t.Fatalf("%s: frontier lengths %d vs %d", label, len(wf), len(gf))
 				}
 				for i := range wf {
 					if wf[i] != gf[i] {
-						t.Errorf("%s: frontier[%d] %+v vs %+v", label, i, wf[i], gf[i])
+						t.Errorf("%s: frontier[%d] %+v (P1) vs %+v", label, i, wf[i], gf[i])
 					}
 				}
 				for i := range got.Steps {
@@ -76,9 +73,6 @@ func TestDifferentialLazyVsEager(t *testing.T) {
 					if gs.Candidates != gs.Evaluated+gs.CacheServed+gs.Pruned {
 						t.Errorf("%s: step %d lazy accounting %d != %d+%d+%d",
 							label, i, gs.Candidates, gs.Evaluated, gs.CacheServed, gs.Pruned)
-					}
-					if ws.Pruned != 0 {
-						t.Errorf("%s: step %d eager sweep reports Pruned=%d", label, i, ws.Pruned)
 					}
 				}
 				if got.Evaluated > want.Evaluated {
@@ -125,18 +119,25 @@ func TestLazyPrunesERP(t *testing.T) {
 // step decision, every candidate's stale upper bound must be >= its freshly
 // evaluated ratio against the same frozen state, and every epoch-exact cache
 // entry must equal a from-scratch recomputation bit for bit. Violations name
-// the offending candidate key.
+// the offending candidate key. Two shapes run under a Reconfig from the
+// deployed set of deployedSet: one at 1e12 per created byte, where every
+// reconfiguration delta dwarfs the base costs the bucket slack is sized
+// from, and one at a per-byte rate of 5% of the unindexed cost per budget,
+// where morphs onto deployed indexes earn credits.
 func TestLazyBoundsDominateFreshGains(t *testing.T) {
 	type shape struct {
 		tables, attrs, queries int
 		writeShare             float64
 		feat                   Options
+		rate                   float64 // Reconfig per-byte rate; <0: 5% share
 	}
 	shapes := []shape{
-		{3, 14, 40, 0, Options{}},
-		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}},
-		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}},
-		{2, 18, 35, 0.1, Options{TopNSingle: 5}},
+		{3, 14, 40, 0, Options{}, 0},
+		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 0},
+		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 0},
+		{2, 18, 35, 0.1, Options{TopNSingle: 5}, 0},
+		{3, 14, 40, 0.2, Options{TrackSecondBest: true, DropUnused: true}, 1e12},
+		{4, 12, 50, 0.1, Options{PairSteps: true, PairLimit: 30, TrackSecondBest: true}, -1},
 	}
 	for _, seed := range []int64{1, 7, 23, 61, 104} {
 		for si, sh := range shapes {
@@ -146,6 +147,14 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 			cfg.RowsBase, cfg.Seed, cfg.WriteShare = 80_000, seed, sh.writeShare
 			w := workload.MustGenerate(cfg)
 			m, _ := setup(w)
+			opts := sh.feat
+			opts.Budget, opts.Parallelism = m.Budget(0.5), 2
+			switch {
+			case sh.rate > 0:
+				opts.Reconfig = Reconfig{Deployed: deployedSet(t, w, m), CreatePerByte: sh.rate}
+			case sh.rate < 0:
+				opts.Reconfig = perByteReconfig(m, 0.05, opts.Budget, deployedSet(t, w, m))
+			}
 
 			audited, violations := 0, 0
 			lazyAuditHook = func(a lazyAuditInfo) {
@@ -172,8 +181,6 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 					}
 				}
 			}
-			opts := sh.feat
-			opts.Budget, opts.Parallelism = m.Budget(0.5), 2
 			_, err := Select(w, whatif.New(m), opts)
 			lazyAuditHook = nil
 			if err != nil {
@@ -347,12 +354,12 @@ type bookkeepingCase struct {
 	w        *workload.Workload
 	opts     Options
 	drop     bool // the run must record at least one drop step
-	reconfig bool // run the from-scratch sweep under a per-byte Reconfig
+	reconfig bool // run under a per-byte Reconfig
 }
 
 // bookkeepingCases are lazy runs with pair steps on seeded workloads, with
-// drop steps on write-heavy workloads, under Approximate and under Explain,
-// and one Reconfig sweep.
+// drop steps on write-heavy workloads, under Approximate, under Explain and
+// under a per-byte Reconfig.
 func bookkeepingCases(t *testing.T) []bookkeepingCase {
 	var cases []bookkeepingCase
 	for _, seed := range []int64{3, 11, 29} {
@@ -400,7 +407,7 @@ func runHooked(t *testing.T, tc bookkeepingCase, hook *func(*selector), check fu
 	opts := tc.opts
 	opts.Budget = m.Budget(0.5)
 	if tc.reconfig {
-		opts.Reconfig = perByteReconfig(tc.w, m, 0.05, opts.Budget)
+		opts.Reconfig = perByteReconfig(m, 0.05, opts.Budget, nil)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -437,8 +444,7 @@ func runHooked(t *testing.T, tc bookkeepingCase, hook *func(*selector), check fu
 // TestByLeadMatchesSortedSel pins the per-lead selected lists the bucket
 // rebuild reads: byLead[b] must always be exactly the lead-b subsequence of
 // the canonically sorted selection. It checks after every applied and
-// dropped step of the bookkeeping cases (the lazy loop and the Reconfig
-// sweep); and after every add and remove of a seeded random sequence that
+// dropped step of the bookkeeping cases; and after every add and remove of a seeded random sequence that
 // stacks many indexes on few leads in arbitrary order, which selection runs
 // rarely do.
 func TestByLeadMatchesSortedSel(t *testing.T) {
@@ -618,13 +624,10 @@ func TestSentinelHeapMatchesSortedReference(t *testing.T) {
 // stale sentinels were re-keyed, the heap must hold exactly the non-empty
 // buckets, each at the priority its current state gives, and the running
 // candidate total must equal the entries over all buckets. It runs on the
-// lazy bookkeeping cases: seeded pair-step workloads, write workloads with
-// drop steps, an Approximate run and an Explain run.
+// bookkeeping cases: seeded pair-step workloads, write workloads with drop
+// steps, an Approximate run, an Explain run and a Reconfig run.
 func TestSentinelHeapMatchesBuckets(t *testing.T) {
 	for _, tc := range bookkeepingCases(t) {
-		if tc.reconfig {
-			continue // the Reconfig sweep has no lazy state
-		}
 		res, calls := runHooked(t, tc, &sentinelHook, func(s *selector) string { return sentinelMismatch(s.lazy) })
 		if calls < 2 || len(res.Steps) == 0 {
 			t.Fatalf("%s: hook saw %d steps for a %d-step trace", tc.name, calls, len(res.Steps))

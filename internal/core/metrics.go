@@ -10,7 +10,7 @@ var (
 	mSteps = telemetry.Default().Counter("indexsel_extend_steps_total",
 		"Construction steps applied by Algorithm 1 (all step kinds).")
 	mStepDur = telemetry.Default().Histogram("indexsel_extend_step_duration_seconds",
-		"Wall time per Algorithm-1 construction step (collect + apply).", nil)
+		"Wall time per Algorithm-1 construction step (decide + apply).", nil)
 	mEvaluated = telemetry.Default().Counter("indexsel_extend_candidates_evaluated_total",
 		"Candidate steps whose gain was (re)computed.")
 	mCacheServed = telemetry.Default().Counter("indexsel_extend_candidates_cache_served_total",

@@ -20,15 +20,17 @@ import (
 //   - a query's current cost is min(base, source cost of each selected
 //     index), recomputed at every step;
 //   - a candidate's gain is the per-query sum freq·(cur − new) in query-ID
-//     order, minus the maintenance delta of the write templates, plus
-//     R(current) − R(next) under Options.Reconfig;
+//     order, minus the maintenance delta of the write templates, minus the
+//     reconfiguration delta R(next) − R(current) under Options.Reconfig,
+//     priced from the per-index terms c(k) (see core.Reconfig);
 //   - its ratio is gain / Δmemory, ties broken by kind, then canonical key.
 //
 // It implements TopNSingle, PairSteps (with its own pair universe),
 // DropUnused and TrackSecondBest; Budget bounds every step. The
 // sums are taken in the same order the selector takes them, so step ratios
 // must agree bit for bit; running totals (CostAfter) are summed in a
-// different order and agree only to rounding.
+// different order and agree only to rounding. Result.Evaluated counts every
+// candidate scored, the final round that finds no step included.
 func runOracle(w *workload.Workload, src whatif.Source, opts Options) *Result {
 	o := &oracle{w: w, src: src, opts: opts}
 	for _, q := range w.Queries {
@@ -42,6 +44,7 @@ func runOracle(w *workload.Workload, src whatif.Source, opts Options) *Result {
 	for {
 		o.refresh()
 		cands := o.candidates()
+		res.Evaluated += len(cands)
 		var fit []oracleCand
 		budgetExcluded := false
 		for _, c := range cands {
@@ -171,11 +174,25 @@ func (o *oracle) maint(k workload.Index) float64 {
 	return m
 }
 
-func (o *oracle) reconfig(sel []workload.Index) float64 {
-	if o.opts.Reconfig == nil {
+// create is k's term c(k) of R: the per-byte rate times k's size, 0 when k
+// is deployed.
+func (o *oracle) create(k workload.Index) float64 {
+	if o.opts.Reconfig.Deployed.Has(k) {
 		return 0
 	}
-	return o.opts.Reconfig(workload.NewSelection(sel...))
+	return o.opts.Reconfig.CreatePerByte * float64(o.src.IndexSize(k))
+}
+
+// reconfig is R(sel): the per-byte rate times the bytes of sel outside the
+// deployed set.
+func (o *oracle) reconfig(sel []workload.Index) float64 {
+	var created int64
+	for _, k := range sel {
+		if !o.opts.Reconfig.Deployed.Has(k) {
+			created += o.src.IndexSize(k)
+		}
+	}
+	return o.opts.Reconfig.CreatePerByte * float64(created)
 }
 
 // total is F(I) + maintenance + R(I) of selection sel.
@@ -354,8 +371,12 @@ func (o *oracle) score(kind StepKind, idx workload.Index, replaced *workload.Ind
 		dm -= o.src.IndexSize(*replaced)
 	}
 	gain -= dMaint
-	if o.opts.Reconfig != nil {
-		gain += o.reconfig(o.sel) - o.reconfig(replace(o.sel, replaced, &idx))
+	if o.opts.Reconfig.CreatePerByte != 0 {
+		dR := o.create(idx)
+		if replaced != nil {
+			dR -= o.create(*replaced)
+		}
+		gain -= dR
 	}
 	return oracleCand{kind: kind, index: idx, replaced: replaced, gain: gain, dm: dm, ratio: gain / float64(dm)}
 }

@@ -1,7 +1,7 @@
 // Worker pool and concurrency-safe caches for the parallel candidate
 // evaluator. The construction loop alternates two phases: a parallel phase
 // in which worker goroutines evaluate candidate steps against frozen
-// selector state (collectLazy or collect), and a serial phase that mutates
+// selector state (collectLazy), and a serial phase that mutates
 // that state (apply/dropUnused). The shared caches below are only written
 // during the parallel phase, and the per-query state (cost, served, size) is
 // only written during the serial phase — no lock covers it because no writer

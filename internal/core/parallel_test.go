@@ -56,10 +56,10 @@ func traceEqual(t *testing.T, label string, a, b *Result) {
 }
 
 // TestParallelTraceMatchesSerial: the lazy loop's worker pool must not
-// change the trace. The baseline is the serial from-scratch sweep (a
-// zero-cost Reconfig: no gain cache, no bounds); the lazy loop at P = 1, 4
-// and 7 (a worker count not dividing the task count) must reproduce it bit
-// for bit under every feature set, ExactEvaluation included.
+// change the trace. The serial lazy run must match the oracle (no gain
+// cache, no bounds), and the lazy loop at P = 4 and 7 (a worker count not
+// dividing the task count) must reproduce the serial run bit for bit under
+// every feature set, ExactEvaluation included.
 func TestParallelTraceMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{3, 11, 29, 47} {
 		w := gen(t, 3, 14, 40, 100_000, seed)
@@ -75,12 +75,12 @@ func TestParallelTraceMatchesSerial(t *testing.T) {
 		for fi, feat := range features {
 			ref := feat
 			ref.Budget, ref.Parallelism = budget, 1
-			ref.Reconfig = func(workload.Selection) float64 { return 0 }
 			baseline, err := Select(w, whatif.New(m), ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range []int{1, 4, 7} {
+			matchOracle(t, fmt.Sprintf("seed %d feature %d P1", seed, fi), runOracle(w, m, ref), baseline)
+			for _, p := range []int{4, 7} {
 				opts := feat
 				opts.Budget, opts.Parallelism = budget, p
 				got, err := Select(w, whatif.New(m), opts)
@@ -183,32 +183,24 @@ func TestParallelWithWorkerPoolUnderRace(t *testing.T) {
 	}
 }
 
-// TestReconfigForcesSerial: the Reconfig callback must see single-threaded
-// calls (its thread-safety is unknown) and the lazy loop is off because R
-// couples gains to the whole selection.
-func TestReconfigForcesSerial(t *testing.T) {
+// TestReconfigRunsLazyInParallel: a Reconfig cost is a per-index term with
+// no user callback, so it keeps the requested worker count and the lazy
+// step loop, and the run still matches the oracle.
+func TestReconfigRunsLazyInParallel(t *testing.T) {
 	w := gen(t, 2, 10, 20, 50_000, 13)
 	m, _ := setup(w)
-	inCall := false
-	s := newSelector(w, whatif.New(m), Options{
-		Budget:      m.Budget(0.5),
-		Parallelism: 8,
-		Reconfig: func(sel workload.Selection) float64 {
-			if inCall {
-				panic("Reconfig reentered concurrently")
-			}
-			inCall = true
-			defer func() { inCall = false }()
-			return 0
-		},
-	})
-	if s.workers != 1 {
-		t.Errorf("Reconfig run uses %d workers, want 1", s.workers)
+	opts := Options{Budget: m.Budget(0.5), Parallelism: 4}
+	opts.Reconfig = perByteReconfig(m, 0.05, opts.Budget, deployedSet(t, w, m))
+	s := newSelector(w, whatif.New(m), opts)
+	if s.workers != 4 {
+		t.Errorf("Reconfig run uses %d workers, want 4", s.workers)
 	}
-	if s.lazy != nil {
-		t.Error("Reconfig run uses the lazy step loop")
+	if s.lazy == nil {
+		t.Error("Reconfig run does not use the lazy step loop")
 	}
-	if _, err := s.run(); err != nil {
+	res, err := s.run()
+	if err != nil {
 		t.Fatal(err)
 	}
+	matchOracle(t, "reconfig/P4", runOracle(w, m, opts), res)
 }

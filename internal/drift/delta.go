@@ -28,9 +28,7 @@ type PlanOptions struct {
 	// ReconfigPerByte, when > 0, charges the selection strategies a
 	// reconfiguration cost of ReconfigPerByte per byte of index created
 	// relative to the deployed set, biasing the search toward low-churn
-	// deltas. It forces serial non-incremental evaluation (see
-	// core.Options.Reconfig), so leave it 0 when planning latency matters
-	// more than churn.
+	// deltas (core.Options.Reconfig).
 	ReconfigPerByte float64
 	// Parallelism is passed through to the selection strategies.
 	Parallelism int
@@ -128,16 +126,7 @@ func PlanDelta(ctx context.Context, w *workload.Workload, opt *whatif.Optimizer,
 		Context:     ctx,
 	}
 	if o.ReconfigPerByte > 0 {
-		perByte := o.ReconfigPerByte
-		copts.Reconfig = func(sel workload.Selection) float64 {
-			var created int64
-			for key, k := range sel {
-				if _, ok := deployed[key]; !ok {
-					created += opt.IndexSize(k)
-				}
-			}
-			return perByte * float64(created)
-		}
+		copts.Reconfig = core.Reconfig{Deployed: deployed, CreatePerByte: o.ReconfigPerByte}
 	}
 	res, err := core.Select(w, opt, copts)
 	if err != nil {

@@ -105,8 +105,10 @@ type StepProvenance struct {
 	// MaintenanceDelta is the change in the selection's write-maintenance
 	// burden (positive: the step added maintenance cost).
 	MaintenanceDelta float64 `json:"maintenance_delta"`
-	// ReconfigDelta is the change in the reconfiguration term R(I); zero
-	// unless Options.Reconfig is configured.
+	// ReconfigDelta is the step's change in the reconfiguration term R(I):
+	// the per-byte charge of the index it creates outside the deployed set
+	// minus that of the index it replaces or drops. Zero unless
+	// core.Options.Reconfig has a nonzero rate.
 	ReconfigDelta float64 `json:"reconfig_delta,omitempty"`
 	// MemDeltaBytes is the step's memory growth (negative for drops).
 	MemDeltaBytes int64 `json:"mem_delta_bytes"`

@@ -52,7 +52,9 @@ type Config struct {
 	// window's single-attribute footprint; <= 0 means 0.5) is used.
 	BudgetBytes int64
 	BudgetShare float64
-	// ReconfigPerByte biases re-selection toward low-churn deltas.
+	// ReconfigPerByte charges each retune's selection this much per byte of
+	// index created outside the deployed set, biasing re-selection toward
+	// low-churn deltas (drift.PlanOptions.ReconfigPerByte); 0 is free.
 	ReconfigPerByte float64
 	// BackoffBase/BackoffMax shape the exponential retry backoff after a
 	// failed or rejected retune; zero means 1s / 5m.

@@ -118,9 +118,8 @@ func BenchmarkApplicable_Scan(b *testing.B) {
 	benchApplicable(b, bare, ks[:256])
 }
 
-// SelectionClone: the per-candidate cost of snapshotting the current
-// selection (the Reconfig path clones per candidate; Remark-2 mode clones
-// per candidate per step).
+// SelectionClone: the cost of snapshotting the current selection, which
+// Remark-2 mode (core's MultiIndex loop) pays per candidate per step.
 func BenchmarkSelectionClone_IDSet(b *testing.B) {
 	w := benchWorkload(b)
 	in := workload.NewInterner()
